@@ -33,8 +33,13 @@ train::ModelStats RunConfig(const core::EldaNetConfig& config,
 int main(int argc, char** argv) {
   using namespace elda;
   bench::BenchScale scale;
-  bench::ParseBenchFlags(argc, argv, {}, &scale, /*default_admissions=*/400,
-                         /*default_epochs=*/6);
+  bench::BenchFlagValues values;
+  util::ArgParser parser("bench_ablation_hyperparams",
+                         "Extension: ELDA-Net hyper-parameter ablations.");
+  bench::RegisterBenchFlags(&parser, &values);
+  parser.Parse(argc, argv);
+  bench::ResolveBenchScale(values, &scale, /*default_admissions=*/400,
+                           /*default_epochs=*/6);
   bench::PrintHeader(
       "Extension: ELDA-Net hyper-parameter ablations",
       "Sweeps the compression factor d, embedding dim e and anchors (a,b)\n"

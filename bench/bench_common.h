@@ -1,10 +1,10 @@
 // Shared scaffolding for the table/figure benchmark binaries.
 //
 // Every binary reproduces one table or figure of the paper. Because the
-// build machine is a single CPU core (vs the authors' GPU testbed), the
-// default cohort sizes and epoch budgets are scaled down; pass --full for
-// paper-scale cohorts (12,000 / 21,139 admissions) or override individual
-// knobs (--admissions, --epochs, --runs).
+// benches run on a CPU (vs the authors' GPU testbed), the default cohort
+// sizes and epoch budgets are scaled down; pass --full for paper-scale
+// cohorts (12,000 / 21,139 admissions) or override individual knobs
+// (--admissions, --epochs, --runs).
 
 #ifndef ELDA_BENCH_BENCH_COMMON_H_
 #define ELDA_BENCH_BENCH_COMMON_H_
@@ -17,7 +17,6 @@
 #include "synth/simulator.h"
 #include "train/trainer.h"
 #include "util/argparse.h"
-#include "util/flags.h"
 #include "util/table.h"
 
 namespace elda {
@@ -30,42 +29,9 @@ struct BenchScale {
   int64_t runs = 1;
 };
 
-// Parses the common flags out of argv. `extra_flags` extends the accepted
-// flag set for binary-specific options; returns the Flags object so callers
-// can read them.
-inline Flags ParseBenchFlags(int argc, char** argv,
-                             std::vector<std::string> extra_flags,
-                             BenchScale* scale,
-                             int64_t default_admissions = 500,
-                             int64_t default_epochs = 8) {
-  std::vector<std::string> spec = {"full",       "admissions", "epochs",
-                                   "runs",       "batch-size", "lr",
-                                   "verbose",    "threads"};
-  for (auto& f : extra_flags) spec.push_back(std::move(f));
-  Flags flags(argc, argv, spec);
-  const bool full = flags.GetBool("full", false);
-  scale->physionet_admissions = flags.GetInt(
-      "admissions", full ? 12000 : default_admissions);
-  scale->mimic_admissions = flags.GetInt(
-      "admissions", full ? 21139 : default_admissions);
-  scale->trainer.max_epochs = flags.GetInt("epochs", full ? 30 : default_epochs);
-  scale->trainer.patience = full ? 5 : 3;
-  scale->trainer.batch_size = flags.GetInt("batch-size", 64);
-  scale->trainer.learning_rate =
-      static_cast<float>(flags.GetDouble("lr", 1e-3));
-  scale->trainer.verbose = flags.GetBool("verbose", false);
-  scale->runs = flags.GetInt("runs", 1);
-  // --threads overrides ELDA_THREADS / hardware_concurrency for the whole
-  // binary (0 keeps the environment-derived default).
-  const int64_t threads = flags.GetInt("threads", 0);
-  if (threads > 0) par::SetNumThreads(threads);
-  scale->trainer.num_threads = threads;
-  return flags;
-}
-
-// ArgParser-based successor to ParseBenchFlags. Binaries register the
-// common scale flags on their own parser (so binary-specific flags share
-// the same --help page), Parse, then resolve the sentinel defaults:
+// Common scale flags. Binaries register them on their own util::ArgParser
+// (so binary-specific flags share the same --help page, and a malformed
+// value exits 2 with usage), Parse, then resolve the sentinel defaults:
 //
 //   bench::BenchFlagValues values;
 //   util::ArgParser parser("bench_x", "...");

@@ -21,8 +21,14 @@
 int main(int argc, char** argv) {
   using namespace elda;
   bench::BenchScale scale;
-  bench::ParseBenchFlags(argc, argv, {}, &scale, /*default_admissions=*/500,
-                         /*default_epochs=*/8);
+  bench::BenchFlagValues values;
+  util::ArgParser parser("bench_ext_multitask",
+                         "Extension: multi-task ELDA (joint mortality + LOS "
+                         "heads).");
+  bench::RegisterBenchFlags(&parser, &values);
+  parser.Parse(argc, argv);
+  bench::ResolveBenchScale(values, &scale, /*default_admissions=*/500,
+                           /*default_epochs=*/8);
   bench::PrintHeader(
       "Extension: multi-task ELDA (joint mortality + LOS heads)",
       "One shared trunk vs two single-task ELDA-Nets on the same cohort.");

@@ -75,8 +75,14 @@ void PrintTrace(const std::string& title, const core::Elda& elda,
 int main(int argc, char** argv) {
   using namespace elda;
   bench::BenchScale scale;
-  bench::ParseBenchFlags(argc, argv, {}, &scale, /*default_admissions=*/800,
-                         /*default_epochs=*/12);
+  bench::BenchFlagValues values;
+  util::ArgParser parser("bench_fig10_attention_trace",
+                         "Figure 10: Glucose's interaction attention over "
+                         "time.");
+  bench::RegisterBenchFlags(&parser, &values);
+  parser.Parse(argc, argv);
+  bench::ResolveBenchScale(values, &scale, /*default_admissions=*/800,
+                           /*default_epochs=*/12);
   bench::PrintHeader(
       "Figure 10: change of Glucose's interaction attention over time",
       "ELDA-Net vs the ELDA-Net-F_fm ablation on the same DLA patient.\n"

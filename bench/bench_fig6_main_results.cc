@@ -93,25 +93,32 @@ void RunSetting(const std::string& dataset_name,
 
 int main(int argc, char** argv) {
   using namespace elda;
+  bench::BenchFlagValues values;
+  std::string dataset = "both";
+  std::string task_flag = "both";
+  std::string model_list;
+  util::ArgParser parser("bench_fig6_main_results",
+                         "Figure 6: main results for every model, both "
+                         "datasets and both tasks.");
+  bench::RegisterBenchFlags(&parser, &values);
+  parser.String("dataset", &dataset, "physionet|mimic|both")
+      .String("task", &task_flag, "mortality|los|both")
+      .String("models", &model_list, "comma-separated models (empty: all)");
+  parser.Parse(argc, argv);
   bench::BenchScale scale;
-  Flags flags = bench::ParseBenchFlags(argc, argv, {"dataset", "task",
-                                                    "models"},
-                                       &scale, /*default_admissions=*/800,
-                                       /*default_epochs=*/12);
+  bench::ResolveBenchScale(values, &scale, /*default_admissions=*/800,
+                           /*default_epochs=*/12);
   bench::PrintHeader(
       "Figure 6: main results (all models, both datasets, both tasks)",
       "Compare the *ordering* with the paper: ELDA-Net first, RNN family\n"
       "next, time-collapsed LR/FM/AFM last. Use --full (or --admissions /\n"
       "--epochs / --runs) for paper-scale runs.");
 
-  std::vector<std::string> models =
-      SplitCsv(flags.GetString("models", ""));
+  std::vector<std::string> models = SplitCsv(model_list);
   if (models.empty()) {
     models = baselines::BaselineNames();
     models.push_back("ELDA-Net");
   }
-  const std::string dataset = flags.GetString("dataset", "both");
-  const std::string task_flag = flags.GetString("task", "both");
 
   std::vector<std::pair<std::string, synth::CohortConfig>> datasets;
   if (dataset == "both" || dataset == "physionet") {

@@ -58,10 +58,18 @@ void RunSetting(const std::string& dataset_name,
 
 int main(int argc, char** argv) {
   using namespace elda;
+  bench::BenchFlagValues values;
+  std::string dataset = "physionet";
+  std::string task_flag = "both";
+  util::ArgParser parser("bench_fig7_ablation",
+                         "Figure 7: ablation study of ELDA-Net's modules.");
+  bench::RegisterBenchFlags(&parser, &values);
+  parser.String("dataset", &dataset, "physionet|mimic|both")
+      .String("task", &task_flag, "mortality|los|both");
+  parser.Parse(argc, argv);
   bench::BenchScale scale;
-  Flags flags = bench::ParseBenchFlags(argc, argv, {"dataset", "task"},
-                                       &scale, /*default_admissions=*/800,
-                                       /*default_epochs=*/12);
+  bench::ResolveBenchScale(values, &scale, /*default_admissions=*/800,
+                           /*default_epochs=*/12);
   bench::PrintHeader(
       "Figure 7: ablation study of ELDA-Net's modules",
       "Paper anchors (PhysioNet2012 mortality AUC-PR, full scale):\n"
@@ -69,8 +77,6 @@ int main(int argc, char** argv) {
       "Expected ordering: Ffm < Ffm* < Fbi, Fbi* < Fbi, and the full model\n"
       "above every single-module variant.");
 
-  const std::string dataset = flags.GetString("dataset", "physionet");
-  const std::string task_flag = flags.GetString("task", "both");
   std::vector<std::pair<std::string, synth::CohortConfig>> datasets;
   if (dataset == "both" || dataset == "physionet") {
     datasets.emplace_back("SynthPhysioNet2012", bench::ScaledPhysioNet(scale));

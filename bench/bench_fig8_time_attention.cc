@@ -112,8 +112,14 @@ void PrintCurves(const std::string& model_name,
 int main(int argc, char** argv) {
   using namespace elda;
   bench::BenchScale scale;
-  bench::ParseBenchFlags(argc, argv, {}, &scale, /*default_admissions=*/800,
-                         /*default_epochs=*/12);
+  bench::BenchFlagValues values;
+  util::ArgParser parser("bench_fig8_time_attention",
+                         "Figure 8: time-level attention, survivors vs "
+                         "non-survivors.");
+  bench::RegisterBenchFlags(&parser, &values);
+  parser.Parse(argc, argv);
+  bench::ResolveBenchScale(values, &scale, /*default_admissions=*/800,
+                           /*default_epochs=*/12);
   bench::PrintHeader(
       "Figure 8: time-level attention, survivors vs non-survivors",
       "Shape to reproduce: later hours receive more attention in both\n"

@@ -94,8 +94,14 @@ double AttentionTo(const Tensor& attention, int64_t hour, int64_t row,
 int main(int argc, char** argv) {
   using namespace elda;
   bench::BenchScale scale;
-  bench::ParseBenchFlags(argc, argv, {}, &scale, /*default_admissions=*/800,
-                         /*default_epochs=*/12);
+  bench::BenchFlagValues values;
+  util::ArgParser parser("bench_fig9_feature_attention",
+                         "Figure 9 + Table II: feature-level attention for "
+                         "the DLA showcase patient.");
+  bench::RegisterBenchFlags(&parser, &values);
+  parser.Parse(argc, argv);
+  bench::ResolveBenchScale(values, &scale, /*default_admissions=*/800,
+                           /*default_epochs=*/12);
   bench::PrintHeader(
       "Figure 9 + Table II: feature-level attention for DM+DLA Patient A",
       "Trains ELDA on SynthPhysioNet2012 (mortality), then interprets the\n"

@@ -76,7 +76,13 @@ void Report(const std::string& name, const data::EmrDataset& cohort,
 int main(int argc, char** argv) {
   using namespace elda;
   bench::BenchScale scale;
-  bench::ParseBenchFlags(argc, argv, {}, &scale, /*default_admissions=*/1200);
+  bench::BenchFlagValues values;
+  util::ArgParser parser("bench_table1_dataset_stats",
+                         "Table I: dataset statistics, paper vs synthetic "
+                         "cohorts.");
+  bench::RegisterBenchFlags(&parser, &values);
+  parser.Parse(argc, argv);
+  bench::ResolveBenchScale(values, &scale, /*default_admissions=*/1200);
   bench::PrintHeader(
       "Table I: dataset statistics (paper vs synthetic substitution)",
       "Class ratios, record density and missingness are generator-calibrated;"

@@ -28,6 +28,7 @@
 // and at N threads plus the speedup, exercising the elda::par
 // batch-parallel Trainer::Predict path)
 
+#include <algorithm>
 #include <fstream>
 
 #include "autograd/ops.h"
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Table III: parameters and runtime",
       "Paper columns: Keras/TF on Xeon W-2133 + RTX 2080 Ti; measured\n"
-      "columns: this repo's engine on one CPU core. Compare orderings, not\n"
+      "columns: this repo's engine on the CPU. Compare orderings, not\n"
       "absolute values. (Paper's training column is seconds per epoch-batch\n"
       "group; ours is seconds per 64-admission batch.)");
 
@@ -135,8 +136,11 @@ int main(int argc, char** argv) {
     nn::ForwardContext train_ctx;
     train_ctx.training = true;
     train_ctx.rng = &train_rng;
-    std::vector<int64_t> indices(experiment.split().train.begin(),
-                                 experiment.split().train.begin() + 64);
+    // Up to 64 train stays: a tiny cohort's split may hold fewer.
+    const std::vector<int64_t>& train_split = experiment.split().train;
+    const std::vector<int64_t> indices(
+        train_split.begin(),
+        train_split.begin() + std::min<size_t>(64, train_split.size()));
     data::Batch batch =
         data::MakeBatch(experiment.prepared(), indices, experiment.task());
     model->Forward(batch, &train_ctx);  // warm up

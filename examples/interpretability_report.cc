@@ -11,7 +11,7 @@
 #include "core/elda.h"
 #include "synth/features.h"
 #include "synth/simulator.h"
-#include "util/flags.h"
+#include "util/argparse.h"
 #include "util/table.h"
 
 namespace {
@@ -27,13 +27,20 @@ struct ScoredPair {
 
 int main(int argc, char** argv) {
   using namespace elda;
-  Flags flags(argc, argv, {"admissions", "epochs"});
+  int64_t admissions = 400;
+  int64_t epochs = 6;
+  util::ArgParser parser("interpretability_report",
+                         "Clinician-facing report of ELDA's dual-level "
+                         "interpretations.");
+  parser.Int("admissions", &admissions, "synthetic cohort admissions")
+      .Int("epochs", &epochs, "training epochs");
+  parser.Parse(argc, argv);
 
   synth::CohortConfig cohort_config = synth::SynthPhysioNet2012();
-  cohort_config.num_admissions = flags.GetInt("admissions", 400);
+  cohort_config.num_admissions = admissions;
   data::EmrDataset cohort = synth::GenerateCohort(cohort_config);
   core::EldaConfig config;
-  config.trainer.max_epochs = flags.GetInt("epochs", 6);
+  config.trainer.max_epochs = epochs;
   core::Elda elda(config);
   elda.Fit(cohort, data::Task::kMortality);
 

@@ -10,22 +10,29 @@
 #include "core/elda.h"
 #include "synth/simulator.h"
 #include "train/experiment.h"
-#include "util/flags.h"
+#include "util/argparse.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace elda;
-  Flags flags(argc, argv, {"admissions", "epochs"});
+  int64_t admissions = 400;
+  int64_t epochs = 6;
+  util::ArgParser parser("los_prediction",
+                         "LOS > 7 days prediction: ELDA vs two baselines, "
+                         "plus bed planning.");
+  parser.Int("admissions", &admissions, "synthetic cohort admissions")
+      .Int("epochs", &epochs, "training epochs");
+  parser.Parse(argc, argv);
 
   synth::CohortConfig cohort_config = synth::SynthMimicIii();
-  cohort_config.num_admissions = flags.GetInt("admissions", 400);
+  cohort_config.num_admissions = admissions;
   data::EmrDataset cohort = synth::GenerateCohort(cohort_config);
   std::cout << "cohort: " << cohort.size() << " admissions; "
             << cohort.CountLosGt7() << " stayed > 7 days\n\n";
 
   train::PreparedExperiment experiment(cohort, data::Task::kLosGt7);
   train::TrainerConfig trainer_config;
-  trainer_config.max_epochs = flags.GetInt("epochs", 6);
+  trainer_config.max_epochs = epochs;
 
   TablePrinter table({"model", "BCE", "AUC-ROC", "AUC-PR"});
   for (const char* name : {"LR", "GRU-D", "ELDA-Net"}) {

@@ -7,15 +7,22 @@
 
 #include "core/elda.h"
 #include "synth/simulator.h"
-#include "util/flags.h"
+#include "util/argparse.h"
 
 int main(int argc, char** argv) {
   using namespace elda;
-  Flags flags(argc, argv, {"admissions", "epochs"});
+  int64_t admissions = 400;
+  int64_t epochs = 6;
+  util::ArgParser parser("quickstart",
+                         "Train ELDA on a synthetic ICU cohort, score new "
+                         "admissions and interpret them.");
+  parser.Int("admissions", &admissions, "synthetic cohort admissions")
+      .Int("epochs", &epochs, "training epochs");
+  parser.Parse(argc, argv);
 
   // 1. A cohort of ICU admissions (stand-in for a hospital EMR extract).
   synth::CohortConfig cohort_config = synth::SynthPhysioNet2012();
-  cohort_config.num_admissions = flags.GetInt("admissions", 400);
+  cohort_config.num_admissions = admissions;
   data::EmrDataset cohort = synth::GenerateCohort(cohort_config);
   std::cout << "cohort: " << cohort.size() << " admissions, "
             << cohort.num_features() << " features, "
@@ -24,7 +31,7 @@ int main(int argc, char** argv) {
 
   // 2. Configure and fit ELDA for in-hospital mortality prediction.
   core::EldaConfig config;
-  config.trainer.max_epochs = flags.GetInt("epochs", 6);
+  config.trainer.max_epochs = epochs;
   config.alert_threshold = 0.5f;
   core::Elda elda(config);
   train::TrainResult result = elda.Fit(cohort, data::Task::kMortality);

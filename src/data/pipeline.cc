@@ -212,7 +212,7 @@ Batcher::Batcher(const std::vector<PreparedSample>* prepared,
       batch_size_(batch_size),
       task_(task),
       rng_(rng) {
-  ELDA_CHECK(prepared_ != nullptr && !indices_.empty());
+  ELDA_CHECK(prepared_ != nullptr);
   ELDA_CHECK_GT(batch_size_, 0);
 }
 
@@ -271,15 +271,6 @@ bool Batcher::RestoreState(const std::string& state) {
   indices_ = std::move(order);
   cursor_ = cursor;
   return true;
-}
-
-void Batcher::RestoreOrder(std::vector<int64_t> order) {
-  std::vector<int64_t> a = indices_, b = order;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  ELDA_CHECK(a == b) << "restored order is not a permutation of the split";
-  indices_ = std::move(order);
-  cursor_ = 0;
 }
 
 int64_t Batcher::NumBatchesPerEpoch() const {

@@ -131,8 +131,8 @@ Batch MakeBatch(const std::vector<PreparedSample>& prepared,
                 const std::vector<int64_t>& indices, Task task);
 
 // An epoch-oriented stream of mini-batches. Implemented by the in-RAM
-// Batcher and the out-of-core ShardedLoader; Trainer::TrainStreamed consumes
-// this interface so the two are interchangeable.
+// Batcher and the out-of-core ShardedLoader; every train::Trainer training
+// loop consumes this interface, so the two are interchangeable.
 class BatchSource {
  public:
   virtual ~BatchSource() = default;
@@ -154,7 +154,8 @@ class BatchSource {
   virtual bool RestoreState(const std::string& state) = 0;
 };
 
-// Iterates mini-batches over a fixed index set, reshuffling every epoch.
+// Iterates mini-batches over a fixed index set, reshuffling every epoch. An
+// empty index set yields no batches.
 class Batcher : public BatchSource {
  public:
   Batcher(const std::vector<PreparedSample>* prepared,
@@ -173,12 +174,10 @@ class Batcher : public BatchSource {
   std::string ExportState() const override;
   bool RestoreState(const std::string& state) override;
 
-  // Checkpoint/resume support: the current index permutation. StartEpoch's
-  // shuffle permutes this order in place, so restoring it (together with the
-  // Rng that drives the shuffle) replays the remaining epochs bit-for-bit.
+  // The current index permutation (StartEpoch shuffles it in place).
+  // ExportState carries it; restoring that state together with the Rng
+  // that drives the shuffle replays the remaining epochs bit-for-bit.
   const std::vector<int64_t>& order() const { return indices_; }
-  // CHECK-fails unless `order` is a permutation of the batcher's index set.
-  void RestoreOrder(std::vector<int64_t> order);
 
  private:
   const std::vector<PreparedSample>* prepared_;

@@ -249,8 +249,7 @@ bool LoadTrainCheckpoint(const std::string& path, TrainCheckpoint* ckpt,
     }
   }
 
-  // Optional: streamed-loader cursor state (absent in older checkpoints and
-  // classic Train runs).
+  // Optional: batch-source cursor state (absent in older checkpoints).
   const health::Section* source = health::FindSection(sections, "source");
   if (source != nullptr) parsed.source_state = source->payload;
 

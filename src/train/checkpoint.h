@@ -1,8 +1,8 @@
 // Crash-safe full-run training checkpoints.
 //
-// A TrainCheckpoint captures everything Trainer::Train needs to continue a
-// killed run bit-for-bit: model parameters, Adam moments and step counter,
-// the RNG stream, the batcher's current index permutation, the best-
+// A TrainCheckpoint captures everything the Trainer loop needs to continue
+// a killed run bit-for-bit: model parameters, Adam moments and step counter,
+// the RNG stream, the batch source's cursor state, the best-
 // validation snapshot, and the early-stopping bookkeeping. It is stored in
 // the sectioned v2 container (health/ckpt_io.h): atomic writes, per-section
 // CRC32 verified at load, so a torn or bit-flipped file is rejected with a
@@ -23,7 +23,7 @@
 namespace elda {
 namespace train {
 
-// State of a Trainer::Train run at an epoch boundary (captured after the
+// State of a Trainer run at an epoch boundary (captured after the
 // epoch's evaluation and bookkeeping, before the next epoch's shuffle).
 struct TrainCheckpoint {
   // Progress and early-stopping bookkeeping.
@@ -42,11 +42,13 @@ struct TrainCheckpoint {
   std::string params_blob;          // nn::EncodeParameters of the model
   optim::AdamState adam;            // moments, step counter, current LR
   RngState rng;                     // shuffle / dropout stream
-  std::vector<int64_t> batch_order; // batcher permutation at the boundary
+  // A Batcher permutation. The Trainer neither writes nor reads it: the
+  // permutation rides in source_state.
+  std::vector<int64_t> batch_order;
   std::vector<Tensor> best_params;  // best-validation snapshot (may be empty)
-  // BatchSource::ExportState of the training stream (TrainStreamed runs;
-  // empty for the classic Train path). Optional section: checkpoints written
-  // before this field existed load with it empty.
+  // BatchSource::ExportState of the training stream, written by every
+  // Trainer run. Optional section: checkpoints written before this field
+  // existed load with it empty, and resuming from them is rejected.
   std::string source_state;
 };
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
+#include <memory>
 
 #include "autograd/ops.h"
 #include "health/health.h"
@@ -19,23 +21,6 @@ namespace elda {
 namespace train {
 namespace {
 
-std::vector<float> LabelsFor(const std::vector<data::PreparedSample>& prepared,
-                             const std::vector<int64_t>& indices,
-                             data::Task task) {
-  std::vector<float> labels;
-  labels.reserve(indices.size());
-  for (int64_t i : indices) {
-    labels.push_back(task == data::Task::kMortality
-                         ? prepared[i].mortality_label
-                         : prepared[i].los_gt7_label);
-  }
-  return labels;
-}
-
-bool FileExists(const std::string& path) {
-  return std::ifstream(path).good();
-}
-
 // Injected fault: corrupts the first available gradient with a NaN, the way
 // a numerically blown-up backward pass would.
 void PoisonGradients(const std::vector<ag::Variable>& params) {
@@ -48,350 +33,375 @@ void PoisonGradients(const std::vector<ag::Variable>& params) {
   }
 }
 
-// In-memory state captured at each epoch boundary, enough to deterministically
-// replay the epoch after a rollback (the checkpoint file holds the same state
-// plus bookkeeping for cross-process resume).
-struct RunSnapshot {
-  std::vector<Tensor> params;
-  optim::AdamState adam;
-  RngState rng;
-  std::vector<int64_t> order;
+// The weight-1 BinaryTerminalHead a plain model trains and scores through:
+// bitwise its own Forward + BCE. The head is stateless, so one shared
+// instance serves concurrent callers.
+const MultiHead& TerminalHead() {
+  static const MultiHead* heads = [] {
+    auto* h = new MultiHead();
+    h->Add(std::make_unique<BinaryTerminalHead>());
+    return h;
+  }();
+  return *heads;
+}
+
+// Flattened (score, label, valid) cells per head, in MultiHead Add order.
+struct HeadScores {
+  std::vector<float> scores, labels;
+  std::vector<uint8_t> valid;
 };
+using Scores = std::vector<HeadScores>;
 
-}  // namespace
+// The per-minibatch scoring step behind every scoring path: one encoding
+// bundle, every head's sigmoid probabilities collected over it.
+void ScoreBatch(const SequenceModel& model, const MultiHead& heads,
+                const data::Batch& batch, nn::ForwardContext* ctx,
+                Scores* out) {
+  const Encoding enc = model.Encode(batch, ctx, heads.wants_steps());
+  for (int64_t h = 0; h < heads.size(); ++h) {
+    const TaskHead& head = heads.head(h);
+    const Tensor probs = Sigmoid(head.Logits(model, enc, ctx).value());
+    HeadScores& s = (*out)[h];
+    head.Collect(model, probs, batch, &s.scores, &s.labels, &s.valid);
+  }
+}
 
-PredictResult Trainer::Predict(
-    const SequenceModel* model,
-    const std::vector<data::PreparedSample>& prepared,
-    const std::vector<int64_t>& indices, data::Task task,
-    const InferenceOptions& options) {
-  PredictResult result;
-  result.labels = LabelsFor(prepared, indices, task);
-  result.scores.assign(indices.size(), 0.0f);
-  if (indices.empty()) return result;
+// Serial driver: scores every batch `next` yields under one graph-free
+// inference context, leaving the elda::par pool to the kernels. Grad mode
+// is thread-local, so a parallel caller runs one drain per worker.
+Scores ScoreSerial(const SequenceModel& model, const MultiHead& heads,
+                   const InferenceOptions& options,
+                   const std::function<bool(data::Batch*)>& next) {
+  par::ScopedNumThreads scoped_threads(options.num_threads);
+  ag::NoGradScope no_grad;
+  nn::ForwardContext ctx;
+  ctx.capture = options.capture;
+  Scores out(heads.size());
+  data::Batch batch;
+  while (next(&batch)) ScoreBatch(model, heads, batch, &ctx, &out);
+  return out;
+}
 
+// One epoch of `source` (StartEpoch + drain) through the serial driver.
+Scores ScoreSource(const SequenceModel& model, const MultiHead& heads,
+                   data::BatchSource* source, const InferenceOptions& options) {
+  ELDA_CHECK(source != nullptr);
+  source->StartEpoch();
+  return ScoreSerial(model, heads, options, [source](data::Batch* batch) {
+    return source->Next(batch);
+  });
+}
+
+// Minibatches of options.batch_size over `indices`, in order. With
+// options.parallel (and no capture sink: shared last-writer-wins state),
+// ranges of minibatches drain concurrently, bitwise the serial result.
+Scores ScoreIndices(const SequenceModel& model, const MultiHead& heads,
+                    const std::vector<data::PreparedSample>& prepared,
+                    const std::vector<int64_t>& indices, data::Task task,
+                    const InferenceOptions& options) {
   const int64_t batch_size = std::max<int64_t>(1, options.batch_size);
   const int64_t count = static_cast<int64_t>(indices.size());
   const int64_t num_batches = (count + batch_size - 1) / batch_size;
-
-  // Minibatch composition depends only on batch_size, and every minibatch
-  // writes a disjoint score range, so the parallel path is bitwise
-  // identical to running the batches back-to-back.
-  auto run_batch = [&](int64_t b, nn::ForwardContext* ctx) {
-    const int64_t start = b * batch_size;
-    const int64_t end = std::min(count, start + batch_size);
-    std::vector<int64_t> chunk(indices.begin() + start, indices.begin() + end);
-    data::Batch batch = data::MakeBatch(prepared, chunk, task);
-    Tensor probs = Sigmoid(model->Forward(batch, ctx).value());
-    for (int64_t i = 0; i < probs.size(); ++i) {
-      result.scores[static_cast<size_t>(start + i)] = probs[i];
-    }
+  auto minibatches = [&](int64_t b0, int64_t b1) {
+    return [&, b = b0, b1](data::Batch* batch) mutable {
+      if (b == b1) return false;
+      const int64_t start = b++ * batch_size;
+      const std::vector<int64_t> chunk(
+          indices.begin() + start,
+          indices.begin() + std::min(count, start + batch_size));
+      *batch = data::MakeBatch(prepared, chunk, task);
+      return true;
+    };
   };
-  // A capture sink is shared last-writer-wins state, so capturing forces
-  // the serial path regardless of options.parallel.
-  if (options.parallel && options.capture == nullptr) {
-    par::ParallelFor(
-        0, num_batches, /*grain=*/1,
-        [&](int64_t b0, int64_t b1) {
-          // Grad mode is a thread-local flag, so the scope must be opened
-          // on each worker, not around the ParallelFor call.
-          ag::NoGradScope no_grad;
-          nn::ForwardContext ctx;  // inference mode, one per worker range
-          for (int64_t b = b0; b < b1; ++b) run_batch(b, &ctx);
-        },
-        options.num_threads);
-  } else {
-    ag::NoGradScope no_grad;
-    nn::ForwardContext ctx;
-    ctx.capture = options.capture;
-    for (int64_t b = 0; b < num_batches; ++b) run_batch(b, &ctx);
+  if (!options.parallel || options.capture != nullptr) {
+    return ScoreSerial(model, heads, options, minibatches(0, num_batches));
+  }
+  // Each worker range drains into the slot of its first minibatch, with
+  // default options: the thread count is process-wide, not per worker.
+  std::vector<Scores> ranges(num_batches);
+  par::ParallelFor(
+      0, num_batches, /*grain=*/1,
+      [&](int64_t b0, int64_t b1) {
+        ranges[b0] = ScoreSerial(model, heads, {}, minibatches(b0, b1));
+      },
+      options.num_threads);
+  Scores out(heads.size());
+  auto append = [](auto* to, const auto& from) {
+    to->insert(to->end(), from.begin(), from.end());
+  };
+  for (const Scores& range : ranges) {
+    for (size_t h = 0; h < range.size(); ++h) {
+      append(&out[h].scores, range[h].scores);
+      append(&out[h].labels, range[h].labels);
+      append(&out[h].valid, range[h].valid);
+    }
+  }
+  return out;
+}
+
+// Masked BCE / AUC-ROC / AUC-PR per head (padding and non-finite warm-up
+// scores excluded) and the mean AUC-PR that drives model selection.
+MultiTaskEvalResult Metrics(const MultiHead& heads, const Scores& scored) {
+  MultiTaskEvalResult result;
+  const int64_t num_heads = heads.size();
+  for (int64_t h = 0; h < num_heads; ++h) {
+    const HeadScores& s = scored[h];
+    const EvalResult er{metrics::BceLoss(s.scores, s.labels, s.valid),
+                        metrics::AucRoc(s.scores, s.labels, s.valid),
+                        metrics::AucPr(s.scores, s.labels, s.valid)};
+    result.tasks.push_back(heads.head(h).task_name());
+    result.per_task.push_back(er);
+    result.mean_auc_pr += er.auc_pr / num_heads;
   }
   return result;
 }
 
-EvalResult Trainer::Evaluate(
-    const SequenceModel* model,
-    const std::vector<data::PreparedSample>& prepared,
-    const std::vector<int64_t>& indices, data::Task task,
-    const InferenceOptions& options) {
-  const PredictResult predicted =
-      Predict(model, prepared, indices, task, options);
-  EvalResult result;
-  result.bce = metrics::BceLoss(predicted.scores, predicted.labels);
-  result.auc_roc = metrics::AucRoc(predicted.scores, predicted.labels);
-  result.auc_pr = metrics::AucPr(predicted.scores, predicted.labels);
-  return result;
+PredictResult FirstHead(Scores scored) {
+  return PredictResult{std::move(scored[0].scores),
+                       std::move(scored[0].labels)};
 }
 
-TrainResult Trainer::Train(SequenceModel* model,
-                           const std::vector<data::PreparedSample>& prepared,
-                           const data::SplitIndices& split,
-                           data::Task task) const {
-  // Pin the thread count for the whole run (kernels + eval batching);
-  // num_threads == 0 leaves the global --threads / ELDA_THREADS setting.
-  par::ScopedNumThreads scoped_threads(config_.num_threads);
-  TrainResult result;
-  result.num_parameters = model->NumParameters();
-  if (split.train.empty()) {
+TrainResult SingleHead(const MultiTaskTrainResult& run) {
+  TrainResult out;
+  static_cast<TrainRun&>(out) = run;
+  if (!run.val.per_task.empty()) out.val = run.val.per_task[0];
+  if (!run.test.per_task.empty()) out.test = run.test.per_task[0];
+  return out;
+}
+
+// What the training loop runs: minibatches of `train` through `heads` over
+// `model`. `saved` is the module Adam updates and checkpoints serialize —
+// the model itself for single-task runs (so parameter names stay the
+// model's), the ModelWithHead bundle for multi-task ones.
+struct LoopJob {
+  const SequenceModel* model;
+  const MultiHead* heads;
+  nn::Module* saved;
+  data::BatchSource* train;
+  Rng* rng;  // dropout stream (and the Batcher's shuffle)
+  std::function<MultiTaskEvalResult()> eval_val;   // null: no selection
+  std::function<MultiTaskEvalResult()> eval_test;  // null: no test metrics
+};
+
+// The one training loop. Its bookkeeping lives in a TrainCheckpoint: at each
+// epoch boundary the run state (parameters, Adam, rng, source cursor) is
+// captured into it, so writing a checkpoint is saving that state, a
+// rollback restores it, and resuming is loading it.
+MultiTaskTrainResult RunLoop(const TrainerConfig& config, const LoopJob& job) {
+  // Pin the thread count for the whole run (0: the global setting).
+  par::ScopedNumThreads scoped_threads(config.num_threads);
+  MultiTaskTrainResult result;
+  result.num_parameters = job.saved->NumParameters();
+  if (job.train->NumBatchesPerEpoch() == 0) {
     result.status = health::TrainStatus::kEmptyTrainSplit;
     result.status_message = "train split is empty; nothing to train on";
     return result;
   }
-  std::vector<ag::Variable> params = model->Parameters();
-  optim::Adam adam(params, config_.learning_rate);
-  Rng rng(config_.seed);
-  data::Batcher batcher(&prepared, split.train, config_.batch_size, task,
-                        &rng);
-  health::HealthMonitor monitor(config_.health);
+  const SequenceModel& model = *job.model;
+  Rng& rng = *job.rng;
+  std::vector<ag::Variable> params = job.saved->Parameters();
+  optim::Adam adam(params, config.learning_rate);
+  health::HealthMonitor monitor(config.health);
   health::FaultInjector* inject = health::GlobalFaultInjector();
-  const bool checkpointing =
-      config_.checkpoint_every > 0 && !config_.checkpoint_path.empty();
 
-  double best_val_auc_pr = -1.0;
-  std::vector<Tensor> best_params;
-  int64_t epochs_without_improvement = 0;
-  double total_batch_seconds = 0.0;
-  int64_t total_batches = 0;
-  int64_t start_epoch = 0;
-  int64_t global_step = 0;  // optimizer steps, for deterministic faults
+  auto capture = [&](TrainCheckpoint* state) {
+    state->params_blob = nn::EncodeParameters(*job.saved);
+    state->adam = adam.ExportState();
+    state->rng = rng.SaveState();
+    state->source_state = job.train->ExportState();
+  };
+  auto restore = [&](const TrainCheckpoint& state, std::string* err) {
+    if (!nn::DecodeParameters(job.saved, state.params_blob, err)) return false;
+    if (!job.train->RestoreState(state.source_state)) {
+      *err = config.checkpoint_path +
+             " was written for a different train split";
+      return false;
+    }
+    adam.RestoreState(state.adam);
+    rng.RestoreState(state.rng);
+    return true;
+  };
 
-  if (config_.resume && !config_.checkpoint_path.empty() &&
-      FileExists(config_.checkpoint_path)) {
-    TrainCheckpoint ckpt;
-    std::string err;
-    if (!LoadTrainCheckpoint(config_.checkpoint_path, &ckpt, &err) ||
-        !nn::DecodeParameters(model, ckpt.params_blob, &err)) {
+  TrainCheckpoint state;
+  if (config.resume && !config.checkpoint_path.empty() &&
+      std::ifstream(config.checkpoint_path).good()) {
+    std::string* err = &result.status_message;
+    if (!LoadTrainCheckpoint(config.checkpoint_path, &state, err) ||
+        !restore(state, err)) {
       result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = err;
       return result;
     }
-    std::vector<int64_t> expected = split.train, stored = ckpt.batch_order;
-    std::sort(expected.begin(), expected.end());
-    std::sort(stored.begin(), stored.end());
-    if (expected != stored) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = config_.checkpoint_path +
-                              " was written for a different train split";
-      return result;
+    // A single head's best-epoch metrics ride in the checkpoint.
+    if (job.heads->size() == 1 && !state.best_params.empty()) {
+      result.val = {{job.heads->head(0).task_name()}, {state.best_val},
+                    state.best_val.auc_pr};
     }
-    adam.RestoreState(ckpt.adam);
-    rng.RestoreState(ckpt.rng);
-    batcher.RestoreOrder(ckpt.batch_order);
-    start_epoch = ckpt.next_epoch;
-    best_val_auc_pr = ckpt.best_val_auc_pr;
-    best_params = std::move(ckpt.best_params);
-    epochs_without_improvement = ckpt.epochs_without_improvement;
-    total_batch_seconds = ckpt.total_batch_seconds;
-    total_batches = ckpt.total_batches;
-    global_step = ckpt.total_batches;
-    result.val = ckpt.best_val;
-    result.best_epoch = ckpt.best_epoch;
-    result.epochs_run = ckpt.epochs_run;
-    result.recoveries = ckpt.recoveries;
-    result.skipped_batches = ckpt.skipped_batches;
-    if (epochs_without_improvement > config_.patience) {
-      // Early stopping had already triggered when this checkpoint was
-      // written; skip straight to finalization so the resumed run matches
-      // the uninterrupted one.
-      start_epoch = config_.max_epochs;
+    if (state.epochs_without_improvement > config.patience) {
+      // Early stopping had already fired: finalize, as the original run did.
+      state.next_epoch = config.max_epochs;
     }
-    if (config_.verbose) {
-      std::cerr << model->name() << " resumed from "
-                << config_.checkpoint_path << " at epoch " << start_epoch
+    if (config.verbose) {
+      std::cerr << model.name() << " resumed at epoch " << state.next_epoch
                 << "\n";
     }
   }
+  capture(&state);
+  int64_t global_step = state.total_batches;  // for deterministic faults
 
-  auto take_snapshot = [&]() {
-    RunSnapshot snap;
-    snap.params.reserve(params.size());
-    for (const ag::Variable& p : params) {
-      snap.params.push_back(p.value().Clone());
-    }
-    snap.adam = adam.ExportState();
-    snap.rng = rng.SaveState();
-    snap.order = batcher.order();
-    return snap;
-  };
-  auto restore_snapshot = [&](const RunSnapshot& snap) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = snap.params[i].Clone();
-    }
-    adam.RestoreState(snap.adam);
-    rng.RestoreState(snap.rng);
-    batcher.RestoreOrder(snap.order);
-  };
-  auto write_checkpoint = [&](int64_t next_epoch) {
-    TrainCheckpoint ckpt;
-    ckpt.next_epoch = next_epoch;
-    ckpt.epochs_run = result.epochs_run;
-    ckpt.best_epoch = result.best_epoch;
-    ckpt.epochs_without_improvement = epochs_without_improvement;
-    ckpt.total_batches = total_batches;
-    ckpt.recoveries = result.recoveries;
-    ckpt.skipped_batches = result.skipped_batches;
-    ckpt.best_val_auc_pr = best_val_auc_pr;
-    ckpt.best_val = result.val;
-    ckpt.total_batch_seconds = total_batch_seconds;
-    ckpt.params_blob = nn::EncodeParameters(*model);
-    ckpt.adam = adam.ExportState();
-    ckpt.rng = rng.SaveState();
-    ckpt.batch_order = batcher.order();
-    ckpt.best_params.reserve(best_params.size());
-    for (const Tensor& t : best_params) {
-      ckpt.best_params.push_back(t.Clone());
-    }
-    std::string err;
-    if (!SaveTrainCheckpoint(config_.checkpoint_path, ckpt, &err)) {
-      ++result.checkpoint_write_failures;
-      std::cerr << model->name() << ": checkpoint write failed (" << err
-                << "); training continues\n";
-    }
-  };
-
-  // Training-mode forward context. Dropout draws come from the trainer's
-  // checkpoint-saved RNG so interrupted-and-resumed runs stay bitwise
-  // identical to uninterrupted ones.
+  // Dropout draws come from the checkpoint-saved rng, so resumed runs stay
+  // bitwise identical to uninterrupted ones.
   nn::ForwardContext train_ctx;
   train_ctx.training = true;
   train_ctx.rng = &rng;
 
   bool aborted = false;
-  for (int64_t epoch = start_epoch;
-       epoch < config_.max_epochs && !aborted; ++epoch) {
-    // Last-good state for rollback recovery; refreshed each epoch boundary
-    // (before the shuffle, so a replayed epoch draws the same batches).
-    const RunSnapshot boundary = take_snapshot();
+  for (int64_t epoch = state.next_epoch; epoch < config.max_epochs; ++epoch) {
+    job.train->StartEpoch();
     double epoch_loss = 0.0;
     int64_t epoch_batches = 0;
-    bool epoch_complete = false;
-    while (!epoch_complete && !aborted) {
-      batcher.StartEpoch();
-      epoch_loss = 0.0;
-      epoch_batches = 0;
-      bool rolled_back = false;
-      data::Batch batch;
-      while (batcher.Next(&batch)) {
-        Stopwatch sw;
-        adam.ZeroGrad();
-        ag::Variable logits = model->Forward(batch, &train_ctx);
-        ag::Variable loss = ag::BceWithLogits(logits, batch.y);
-        loss.Backward();
-        if (inject->ConsumePoisonGrad(global_step)) {
-          PoisonGradients(params);
+    bool rolled_back = false;
+    data::Batch batch;
+    while (job.train->Next(&batch)) {
+      Stopwatch sw;
+      adam.ZeroGrad();
+      const Encoding enc =
+          model.Encode(batch, &train_ctx, job.heads->wants_steps());
+      ag::Variable loss = job.heads->JointLoss(model, enc, batch, &train_ctx);
+      loss.Backward();
+      if (inject->ConsumePoisonGrad(global_step)) PoisonGradients(params);
+      // The returned norm doubles as a fused NaN/Inf scan over the
+      // post-clip gradients (non-finite norms pass through unscaled).
+      const float grad_norm =
+          config.clip_norm > 0.0f
+              ? optim::ClipGradNorm(params, config.clip_norm)
+              : optim::GlobalGradNorm(params);
+      const double loss_value = loss.value()[0];
+      ++global_step;
+      const health::StepVerdict verdict =
+          monitor.Check(loss_value, grad_norm);
+      if (verdict != health::StepVerdict::kHealthy) {
+        if (config.verbose) {
+          std::cerr << model.name() << " epoch " << epoch << " step "
+                    << global_step - 1 << ": "
+                    << health::StepVerdictName(verdict) << " (loss "
+                    << loss_value << ", grad norm " << grad_norm << ")\n";
         }
-        // The returned norm doubles as a fused NaN/Inf scan over the
-        // post-clip gradients (non-finite norms pass through unscaled).
-        const float grad_norm =
-            config_.clip_norm > 0.0f
-                ? optim::ClipGradNorm(params, config_.clip_norm)
-                : optim::GlobalGradNorm(params);
-        const double loss_value = loss.value()[0];
-        ++global_step;
-        const health::StepVerdict verdict =
-            monitor.Check(loss_value, grad_norm);
-        if (verdict != health::StepVerdict::kHealthy) {
-          if (config_.verbose) {
-            std::cerr << model->name() << " epoch " << epoch << " step "
-                      << global_step - 1 << ": "
-                      << health::StepVerdictName(verdict) << " (loss "
-                      << loss_value << ", grad norm " << grad_norm << ")\n";
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kSkipBatch &&
-              result.skipped_batches < config_.health.max_skipped_batches) {
-            ++result.skipped_batches;
-            continue;  // drop this batch's update
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kRollback &&
-              result.recoveries < config_.health.max_rollbacks) {
-            ++result.recoveries;
-            const float halved_lr = adam.lr() * 0.5f;
-            restore_snapshot(boundary);
-            adam.set_lr(halved_lr);
-            monitor.Reset();
-            rolled_back = true;
-            break;  // replay the epoch from the boundary snapshot
-          }
-          // kAbort, or the skip/rollback budget is exhausted.
-          aborted = true;
-          result.status_message =
-              std::string("unhealthy step (") +
-              health::StepVerdictName(verdict) + ") at step " +
-              std::to_string(global_step - 1) + "; policy " +
-              (config_.health.policy == health::RecoveryPolicy::kAbort
-                   ? "abort"
-                   : "recovery budget exhausted");
+        const health::RecoveryPolicy policy = config.health.policy;
+        if (policy == health::RecoveryPolicy::kSkipBatch &&
+            state.skipped_batches < config.health.max_skipped_batches) {
+          ++state.skipped_batches;
+          continue;  // drop this batch's update
+        }
+        if (policy == health::RecoveryPolicy::kRollback &&
+            state.recoveries < config.health.max_rollbacks) {
+          ++state.recoveries;
+          const float halved_lr = adam.lr() * 0.5f;
+          std::string err;
+          ELDA_CHECK(restore(state, &err)) << err;
+          adam.set_lr(halved_lr);
+          monitor.Reset();
+          rolled_back = true;
           break;
         }
-        adam.Step();
-        monitor.Observe(loss_value);
-        total_batch_seconds += sw.Seconds();
-        ++total_batches;
-        epoch_loss += loss_value;
-        ++epoch_batches;
+        // kAbort, or the skip/rollback budget is exhausted.
+        aborted = true;
+        result.status_message =
+            std::string("unhealthy step (") +
+            health::StepVerdictName(verdict) + ") at step " +
+            std::to_string(global_step - 1) + "; policy " +
+            (policy == health::RecoveryPolicy::kAbort
+                 ? "abort"
+                 : "recovery budget exhausted");
+        break;
       }
-      epoch_complete = !rolled_back;
+      adam.Step();
+      monitor.Observe(loss_value);
+      state.total_batch_seconds += sw.Seconds();
+      ++state.total_batches;
+      epoch_loss += loss_value;
+      ++epoch_batches;
     }
-    if (aborted) {
-      result.epochs_run = epoch + 1;
-      break;
+    if (rolled_back) {
+      --epoch;  // replay it from its boundary state
+      continue;
     }
-    result.epochs_run = epoch + 1;
+    state.epochs_run = epoch + 1;
+    if (aborted) break;
 
-    const EvalResult val = Evaluate(model, prepared, split.val, task);
-    if (config_.verbose) {
-      std::cerr << model->name() << " epoch " << epoch << " train_bce="
+    MultiTaskEvalResult val;
+    if (job.eval_val) val = job.eval_val();
+    if (config.verbose) {
+      std::cerr << model.name() << " epoch " << epoch << " train_loss="
                 << (epoch_batches > 0 ? epoch_loss / epoch_batches : 0.0)
-                << " val_auc_pr=" << val.auc_pr << "\n";
+                << " val_auc_pr=" << val.mean_auc_pr << "\n";
     }
     bool stop = false;
-    if (val.auc_pr > best_val_auc_pr) {
-      best_val_auc_pr = val.auc_pr;
-      result.val = val;
-      result.best_epoch = epoch;
-      epochs_without_improvement = 0;
-      best_params.clear();
+    if (job.eval_val && val.mean_auc_pr > state.best_val_auc_pr) {
+      state.best_val_auc_pr = val.mean_auc_pr;
+      if (val.per_task.size() == 1) state.best_val = val.per_task[0];
+      state.best_epoch = epoch;
+      state.epochs_without_improvement = 0;
+      state.best_params.clear();
       for (const ag::Variable& p : params) {
-        best_params.push_back(p.value().Clone());
+        state.best_params.push_back(p.value().Clone());
       }
-    } else if (++epochs_without_improvement > config_.patience) {
-      stop = true;
+      result.val = std::move(val);
+    } else if (job.eval_val) {
+      stop = ++state.epochs_without_improvement > config.patience;
     }
-    if (checkpointing && (epoch + 1) % config_.checkpoint_every == 0) {
-      write_checkpoint(epoch + 1);
+    state.next_epoch = epoch + 1;
+    capture(&state);
+    std::string err;
+    if (config.checkpoint_every > 0 && !config.checkpoint_path.empty() &&
+        state.next_epoch % config.checkpoint_every == 0 &&
+        !SaveTrainCheckpoint(config.checkpoint_path, state, &err)) {
+      ++result.checkpoint_write_failures;
+      std::cerr << model.name() << ": checkpoint write failed (" << err
+                << "); training continues\n";
     }
     if (stop) break;
   }
 
-  // Restore the best-validation parameters before the test evaluation.
-  if (!best_params.empty()) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = best_params[i];
-    }
+  // Restore the best-validation parameters before the final evaluation.
+  for (size_t i = 0; i < state.best_params.size(); ++i) {
+    *params[i].mutable_value() = state.best_params[i];
   }
-  result.test = Evaluate(model, prepared, split.test, task);
+  if (job.eval_val && result.val.per_task.empty()) result.val = job.eval_val();
+  if (job.eval_test) result.test = job.eval_test();
   result.status = aborted ? health::TrainStatus::kAborted
-                  : (result.recoveries > 0 || result.skipped_batches > 0)
+                  : (state.recoveries > 0 || state.skipped_batches > 0)
                       ? health::TrainStatus::kRecovered
                       : health::TrainStatus::kOk;
+  result.epochs_run = state.epochs_run;
+  result.best_epoch = state.best_epoch;
+  result.recoveries = state.recoveries;
+  result.skipped_batches = state.skipped_batches;
   result.train_seconds_per_batch =
-      total_batches > 0 ? total_batch_seconds / total_batches : 0.0;
-
-  // Single-sample prediction latency (Table III's "Prediction (ms)"),
-  // measured on the graph-free inference path like Predict().
-  if (!split.test.empty()) {
-    ag::NoGradScope no_grad;
-    const int64_t reps = 20;
-    Stopwatch sw;
-    for (int64_t r = 0; r < reps; ++r) {
-      data::Batch one =
-          data::MakeBatch(prepared, {split.test[0]}, task);
-      model->Forward(one);
-    }
-    result.predict_ms_per_sample = sw.Milliseconds() / reps;
-  }
+      state.total_batch_seconds / std::max<int64_t>(1, state.total_batches);
   return result;
 }
+
+// The loop over an in-RAM split: a Batcher sharing the run's rng, and
+// validation/test scored by ScoreIndices under `eval_options`.
+MultiTaskTrainResult TrainOnSplit(
+    const TrainerConfig& config, const SequenceModel* model,
+    const MultiHead& heads, nn::Module* saved,
+    const std::vector<data::PreparedSample>& prepared,
+    const data::SplitIndices& split, data::Task task,
+    const InferenceOptions& eval_options) {
+  Rng rng(config.seed);
+  data::Batcher batcher(&prepared, split.train, config.batch_size, task,
+                        &rng);
+  auto eval = [&](const std::vector<int64_t>& indices) {
+    return Metrics(heads, ScoreIndices(*model, heads, prepared, indices, task,
+                                       eval_options));
+  };
+  return RunLoop(config, {model, &heads, saved, &batcher, &rng,
+                          [&] { return eval(split.val); },
+                          [&] { return eval(split.test); }});
+}
+
+}  // namespace
 
 const EvalResult& MultiTaskEvalResult::ForTask(const std::string& task) const {
   for (size_t i = 0; i < tasks.size(); ++i) {
@@ -401,48 +411,75 @@ const EvalResult& MultiTaskEvalResult::ForTask(const std::string& task) const {
   return per_task.front();  // unreachable
 }
 
+PredictResult Trainer::Predict(
+    const SequenceModel* model,
+    const std::vector<data::PreparedSample>& prepared,
+    const std::vector<int64_t>& indices, data::Task task,
+    const InferenceOptions& options) {
+  return FirstHead(ScoreIndices(*model, TerminalHead(), prepared, indices,
+                                task, options));
+}
+
+EvalResult Trainer::Evaluate(
+    const SequenceModel* model,
+    const std::vector<data::PreparedSample>& prepared,
+    const std::vector<int64_t>& indices, data::Task task,
+    const InferenceOptions& options) {
+  return Metrics(TerminalHead(), ScoreIndices(*model, TerminalHead(), prepared,
+                                              indices, task, options))
+      .per_task[0];
+}
+
 MultiTaskEvalResult Trainer::EvaluateMultiTask(
     const SequenceModel* model, const MultiHead* heads,
     const std::vector<data::PreparedSample>& prepared,
     const std::vector<int64_t>& indices, data::Task task,
     const InferenceOptions& options) {
   ELDA_CHECK(model != nullptr && heads != nullptr && heads->size() > 0);
-  const int64_t num_heads = heads->size();
-  MultiTaskEvalResult result;
-  result.tasks.reserve(num_heads);
-  for (int64_t h = 0; h < num_heads; ++h) {
-    result.tasks.push_back(heads->head(h).task_name());
-  }
-  // Flattened (score, label, valid) accumulators per head, across batches.
-  std::vector<std::vector<float>> scores(num_heads), labels(num_heads);
-  std::vector<std::vector<uint8_t>> valid(num_heads);
+  // Serial, so a lone large minibatch (per-step heads) keeps kernel-level
+  // parallelism.
+  InferenceOptions serial = options;
+  serial.parallel = false;
+  return Metrics(*heads, ScoreIndices(*model, *heads, prepared, indices, task,
+                                      serial));
+}
 
-  par::ScopedNumThreads scoped_threads(options.num_threads);
-  ag::NoGradScope no_grad;
-  nn::ForwardContext ctx;
-  ctx.capture = options.capture;
-  const bool want_steps = heads->wants_steps();
-  const int64_t batch_size = std::max<int64_t>(1, options.batch_size);
-  const int64_t count = static_cast<int64_t>(indices.size());
-  for (int64_t start = 0; start < count; start += batch_size) {
-    const int64_t end = std::min(count, start + batch_size);
-    std::vector<int64_t> chunk(indices.begin() + start, indices.begin() + end);
-    data::Batch batch = data::MakeBatch(prepared, chunk, task);
-    Encoding enc = model->Encode(batch, &ctx, want_steps);
-    for (int64_t h = 0; h < num_heads; ++h) {
-      const TaskHead& head = heads->head(h);
-      Tensor probs = Sigmoid(head.Logits(*model, enc, &ctx).value());
-      head.Collect(*model, probs, batch, &scores[h], &labels[h], &valid[h]);
-    }
+PredictResult Trainer::PredictSource(const SequenceModel* model,
+                                     data::BatchSource* source,
+                                     const InferenceOptions& options) {
+  return FirstHead(ScoreSource(*model, TerminalHead(), source, options));
+}
+
+EvalResult Trainer::EvaluateSource(const SequenceModel* model,
+                                   data::BatchSource* source,
+                                   const InferenceOptions& options) {
+  return Metrics(TerminalHead(),
+                 ScoreSource(*model, TerminalHead(), source, options))
+      .per_task[0];
+}
+
+TrainResult Trainer::Train(SequenceModel* model,
+                           const std::vector<data::PreparedSample>& prepared,
+                           const data::SplitIndices& split,
+                           data::Task task) const {
+  TrainResult result =
+      SingleHead(TrainOnSplit(config_, model, TerminalHead(), model, prepared,
+                              split, task, InferenceOptions{}));
+  if (result.status == health::TrainStatus::kEmptyTrainSplit ||
+      result.status == health::TrainStatus::kCheckpointError ||
+      split.test.empty()) {
+    return result;
   }
-  result.per_task.resize(num_heads);
-  for (int64_t h = 0; h < num_heads; ++h) {
-    EvalResult& er = result.per_task[h];
-    er.bce = metrics::BceLoss(scores[h], labels[h], valid[h]);
-    er.auc_roc = metrics::AucRoc(scores[h], labels[h], valid[h]);
-    er.auc_pr = metrics::AucPr(scores[h], labels[h], valid[h]);
-    result.mean_auc_pr += er.auc_pr / num_heads;
+  // Single-sample prediction latency (Table III's "Prediction (ms)") on the
+  // serial graph-free scoring path, with the run's thread count.
+  const InferenceOptions one{.num_threads = config_.num_threads,
+                             .parallel = false};
+  const int64_t reps = 20;
+  Stopwatch sw;
+  for (int64_t r = 0; r < reps; ++r) {
+    Predict(model, prepared, {split.test[0]}, task, one);
   }
+  result.predict_ms_per_sample = sw.Milliseconds() / reps;
   return result;
 }
 
@@ -451,282 +488,10 @@ MultiTaskTrainResult Trainer::TrainMultiTask(
     const std::vector<data::PreparedSample>& prepared,
     const data::SplitIndices& split, data::Task task) const {
   ELDA_CHECK(model != nullptr && heads != nullptr && heads->size() > 0);
-  par::ScopedNumThreads scoped_threads(config_.num_threads);
-  // The optimizer, checkpoint blob, and best-params snapshots cover the
-  // trunk first, then each head in Add order.
   ModelWithHead bundle(model, heads);
-  MultiTaskTrainResult result;
-  result.num_parameters = bundle.NumParameters();
-  if (split.train.empty()) {
-    result.status = health::TrainStatus::kEmptyTrainSplit;
-    result.status_message = "train split is empty; nothing to train on";
-    return result;
-  }
-  std::vector<ag::Variable> params = bundle.Parameters();
-  optim::Adam adam(params, config_.learning_rate);
-  Rng rng(config_.seed);
-  data::Batcher batcher(&prepared, split.train, config_.batch_size, task,
-                        &rng);
-  health::HealthMonitor monitor(config_.health);
-  health::FaultInjector* inject = health::GlobalFaultInjector();
-  const bool checkpointing =
-      config_.checkpoint_every > 0 && !config_.checkpoint_path.empty();
-  const bool want_steps = heads->wants_steps();
-
-  double best_val_auc_pr = -1.0;  // mean across heads
-  std::vector<Tensor> best_params;
-  int64_t epochs_without_improvement = 0;
-  double total_batch_seconds = 0.0;
-  int64_t total_batches = 0;
-  int64_t start_epoch = 0;
-  int64_t global_step = 0;
-
-  if (config_.resume && !config_.checkpoint_path.empty() &&
-      FileExists(config_.checkpoint_path)) {
-    TrainCheckpoint ckpt;
-    std::string err;
-    if (!LoadTrainCheckpoint(config_.checkpoint_path, &ckpt, &err) ||
-        !nn::DecodeParameters(&bundle, ckpt.params_blob, &err)) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = err;
-      return result;
-    }
-    std::vector<int64_t> expected = split.train, stored = ckpt.batch_order;
-    std::sort(expected.begin(), expected.end());
-    std::sort(stored.begin(), stored.end());
-    if (expected != stored) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = config_.checkpoint_path +
-                              " was written for a different train split";
-      return result;
-    }
-    adam.RestoreState(ckpt.adam);
-    rng.RestoreState(ckpt.rng);
-    batcher.RestoreOrder(ckpt.batch_order);
-    start_epoch = ckpt.next_epoch;
-    best_val_auc_pr = ckpt.best_val_auc_pr;
-    best_params = std::move(ckpt.best_params);
-    epochs_without_improvement = ckpt.epochs_without_improvement;
-    total_batch_seconds = ckpt.total_batch_seconds;
-    total_batches = ckpt.total_batches;
-    global_step = ckpt.total_batches;
-    result.best_epoch = ckpt.best_epoch;
-    result.epochs_run = ckpt.epochs_run;
-    result.recoveries = ckpt.recoveries;
-    result.skipped_batches = ckpt.skipped_batches;
-    if (epochs_without_improvement > config_.patience) {
-      start_epoch = config_.max_epochs;
-    }
-    if (config_.verbose) {
-      std::cerr << model->name() << " resumed (multi-task) from "
-                << config_.checkpoint_path << " at epoch " << start_epoch
-                << "\n";
-    }
-  }
-
-  auto take_snapshot = [&]() {
-    RunSnapshot snap;
-    snap.params.reserve(params.size());
-    for (const ag::Variable& p : params) {
-      snap.params.push_back(p.value().Clone());
-    }
-    snap.adam = adam.ExportState();
-    snap.rng = rng.SaveState();
-    snap.order = batcher.order();
-    return snap;
-  };
-  auto restore_snapshot = [&](const RunSnapshot& snap) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = snap.params[i].Clone();
-    }
-    adam.RestoreState(snap.adam);
-    rng.RestoreState(snap.rng);
-    batcher.RestoreOrder(snap.order);
-  };
-  auto write_checkpoint = [&](int64_t next_epoch) {
-    TrainCheckpoint ckpt;
-    ckpt.next_epoch = next_epoch;
-    ckpt.epochs_run = result.epochs_run;
-    ckpt.best_epoch = result.best_epoch;
-    ckpt.epochs_without_improvement = epochs_without_improvement;
-    ckpt.total_batches = total_batches;
-    ckpt.recoveries = result.recoveries;
-    ckpt.skipped_batches = result.skipped_batches;
-    ckpt.best_val_auc_pr = best_val_auc_pr;
-    ckpt.total_batch_seconds = total_batch_seconds;
-    ckpt.params_blob = nn::EncodeParameters(bundle);
-    ckpt.adam = adam.ExportState();
-    ckpt.rng = rng.SaveState();
-    ckpt.batch_order = batcher.order();
-    ckpt.best_params.reserve(best_params.size());
-    for (const Tensor& t : best_params) {
-      ckpt.best_params.push_back(t.Clone());
-    }
-    std::string err;
-    if (!SaveTrainCheckpoint(config_.checkpoint_path, ckpt, &err)) {
-      ++result.checkpoint_write_failures;
-      std::cerr << model->name() << ": checkpoint write failed (" << err
-                << "); training continues\n";
-    }
-  };
-
-  nn::ForwardContext train_ctx;
-  train_ctx.training = true;
-  train_ctx.rng = &rng;
-
-  bool aborted = false;
-  for (int64_t epoch = start_epoch;
-       epoch < config_.max_epochs && !aborted; ++epoch) {
-    const RunSnapshot boundary = take_snapshot();
-    double epoch_loss = 0.0;
-    int64_t epoch_batches = 0;
-    bool epoch_complete = false;
-    while (!epoch_complete && !aborted) {
-      batcher.StartEpoch();
-      epoch_loss = 0.0;
-      epoch_batches = 0;
-      bool rolled_back = false;
-      data::Batch batch;
-      while (batcher.Next(&batch)) {
-        Stopwatch sw;
-        adam.ZeroGrad();
-        Encoding enc = model->Encode(batch, &train_ctx, want_steps);
-        ag::Variable loss = heads->JointLoss(*model, enc, batch, &train_ctx);
-        loss.Backward();
-        if (inject->ConsumePoisonGrad(global_step)) {
-          PoisonGradients(params);
-        }
-        const float grad_norm =
-            config_.clip_norm > 0.0f
-                ? optim::ClipGradNorm(params, config_.clip_norm)
-                : optim::GlobalGradNorm(params);
-        const double loss_value = loss.value()[0];
-        ++global_step;
-        const health::StepVerdict verdict =
-            monitor.Check(loss_value, grad_norm);
-        if (verdict != health::StepVerdict::kHealthy) {
-          if (config_.verbose) {
-            std::cerr << model->name() << " epoch " << epoch << " step "
-                      << global_step - 1 << ": "
-                      << health::StepVerdictName(verdict) << " (loss "
-                      << loss_value << ", grad norm " << grad_norm << ")\n";
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kSkipBatch &&
-              result.skipped_batches < config_.health.max_skipped_batches) {
-            ++result.skipped_batches;
-            continue;
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kRollback &&
-              result.recoveries < config_.health.max_rollbacks) {
-            ++result.recoveries;
-            const float halved_lr = adam.lr() * 0.5f;
-            restore_snapshot(boundary);
-            adam.set_lr(halved_lr);
-            monitor.Reset();
-            rolled_back = true;
-            break;
-          }
-          aborted = true;
-          result.status_message =
-              std::string("unhealthy step (") +
-              health::StepVerdictName(verdict) + ") at step " +
-              std::to_string(global_step - 1) + "; policy " +
-              (config_.health.policy == health::RecoveryPolicy::kAbort
-                   ? "abort"
-                   : "recovery budget exhausted");
-          break;
-        }
-        adam.Step();
-        monitor.Observe(loss_value);
-        total_batch_seconds += sw.Seconds();
-        ++total_batches;
-        epoch_loss += loss_value;
-        ++epoch_batches;
-      }
-      epoch_complete = !rolled_back;
-    }
-    if (aborted) {
-      result.epochs_run = epoch + 1;
-      break;
-    }
-    result.epochs_run = epoch + 1;
-
-    const MultiTaskEvalResult val =
-        EvaluateMultiTask(model, heads, prepared, split.val, task);
-    if (config_.verbose) {
-      std::cerr << model->name() << " epoch " << epoch << " train_joint="
-                << (epoch_batches > 0 ? epoch_loss / epoch_batches : 0.0)
-                << " val_mean_auc_pr=" << val.mean_auc_pr << "\n";
-    }
-    bool stop = false;
-    if (val.mean_auc_pr > best_val_auc_pr) {
-      best_val_auc_pr = val.mean_auc_pr;
-      result.best_epoch = epoch;
-      epochs_without_improvement = 0;
-      best_params.clear();
-      for (const ag::Variable& p : params) {
-        best_params.push_back(p.value().Clone());
-      }
-    } else if (++epochs_without_improvement > config_.patience) {
-      stop = true;
-    }
-    if (checkpointing && (epoch + 1) % config_.checkpoint_every == 0) {
-      write_checkpoint(epoch + 1);
-    }
-    if (stop) break;
-  }
-
-  if (!best_params.empty()) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = best_params[i];
-    }
-  }
-  // Val/test metrics are (re)computed on the restored best parameters rather
-  // than carried through the checkpoint, so interrupted-and-resumed runs
-  // report bitwise-identical numbers to uninterrupted ones.
-  if (!aborted) {
-    result.val = EvaluateMultiTask(model, heads, prepared, split.val, task);
-    result.test = EvaluateMultiTask(model, heads, prepared, split.test, task);
-  }
-  result.status = aborted ? health::TrainStatus::kAborted
-                  : (result.recoveries > 0 || result.skipped_batches > 0)
-                      ? health::TrainStatus::kRecovered
-                      : health::TrainStatus::kOk;
-  result.train_seconds_per_batch =
-      total_batches > 0 ? total_batch_seconds / total_batches : 0.0;
-  return result;
-}
-
-PredictResult Trainer::PredictSource(const SequenceModel* model,
-                                     data::BatchSource* source,
-                                     const InferenceOptions& options) {
-  ELDA_CHECK(source != nullptr);
-  par::ScopedNumThreads scoped_threads(options.num_threads);
-  PredictResult result;
-  ag::NoGradScope no_grad;
-  nn::ForwardContext ctx;
-  ctx.capture = options.capture;
-  source->StartEpoch();
-  data::Batch batch;
-  while (source->Next(&batch)) {
-    Tensor probs = Sigmoid(model->Forward(batch, &ctx).value());
-    for (int64_t i = 0; i < probs.size(); ++i) {
-      result.scores.push_back(probs[i]);
-      result.labels.push_back(batch.y[i]);
-    }
-  }
-  return result;
-}
-
-EvalResult Trainer::EvaluateSource(const SequenceModel* model,
-                                   data::BatchSource* source,
-                                   const InferenceOptions& options) {
-  const PredictResult predicted = PredictSource(model, source, options);
-  EvalResult result;
-  result.bce = metrics::BceLoss(predicted.scores, predicted.labels);
-  result.auc_roc = metrics::AucRoc(predicted.scores, predicted.labels);
-  result.auc_pr = metrics::AucPr(predicted.scores, predicted.labels);
-  return result;
+  // Validation and test score like EvaluateMultiTask: serially.
+  return TrainOnSplit(config_, model, *heads, &bundle, prepared, split, task,
+                      {.parallel = false});
 }
 
 TrainResult Trainer::TrainStreamed(SequenceModel* model,
@@ -734,248 +499,15 @@ TrainResult Trainer::TrainStreamed(SequenceModel* model,
                                    data::BatchSource* val,
                                    data::BatchSource* test) const {
   ELDA_CHECK(train != nullptr);
-  par::ScopedNumThreads scoped_threads(config_.num_threads);
-  TrainResult result;
-  result.num_parameters = model->NumParameters();
-  if (train->NumBatchesPerEpoch() == 0) {
-    result.status = health::TrainStatus::kEmptyTrainSplit;
-    result.status_message = "train source is empty; nothing to train on";
-    return result;
-  }
-  std::vector<ag::Variable> params = model->Parameters();
-  optim::Adam adam(params, config_.learning_rate);
   Rng rng(config_.seed);  // dropout stream; the source owns its shuffle
-  health::HealthMonitor monitor(config_.health);
-  health::FaultInjector* inject = health::GlobalFaultInjector();
-  const bool checkpointing =
-      config_.checkpoint_every > 0 && !config_.checkpoint_path.empty();
-
-  double best_val_auc_pr = -1.0;
-  std::vector<Tensor> best_params;
-  int64_t epochs_without_improvement = 0;
-  double total_batch_seconds = 0.0;
-  int64_t total_batches = 0;
-  int64_t start_epoch = 0;
-  int64_t global_step = 0;
-
-  if (config_.resume && !config_.checkpoint_path.empty() &&
-      FileExists(config_.checkpoint_path)) {
-    TrainCheckpoint ckpt;
-    std::string err;
-    if (!LoadTrainCheckpoint(config_.checkpoint_path, &ckpt, &err) ||
-        !nn::DecodeParameters(model, ckpt.params_blob, &err)) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = err;
-      return result;
-    }
-    if (!train->RestoreState(ckpt.source_state)) {
-      result.status = health::TrainStatus::kCheckpointError;
-      result.status_message = config_.checkpoint_path +
-                              " holds a source state this train stream "
-                              "cannot restore";
-      return result;
-    }
-    adam.RestoreState(ckpt.adam);
-    rng.RestoreState(ckpt.rng);
-    start_epoch = ckpt.next_epoch;
-    best_val_auc_pr = ckpt.best_val_auc_pr;
-    best_params = std::move(ckpt.best_params);
-    epochs_without_improvement = ckpt.epochs_without_improvement;
-    total_batch_seconds = ckpt.total_batch_seconds;
-    total_batches = ckpt.total_batches;
-    global_step = ckpt.total_batches;
-    result.val = ckpt.best_val;
-    result.best_epoch = ckpt.best_epoch;
-    result.epochs_run = ckpt.epochs_run;
-    result.recoveries = ckpt.recoveries;
-    result.skipped_batches = ckpt.skipped_batches;
-    if (epochs_without_improvement > config_.patience) {
-      start_epoch = config_.max_epochs;
-    }
-    if (config_.verbose) {
-      std::cerr << model->name() << " resumed (streamed) from "
-                << config_.checkpoint_path << " at epoch " << start_epoch
-                << "\n";
-    }
-  }
-
-  // Snapshots capture the source's exported cursor alongside the usual
-  // params/adam/rng, so a rollback replays the epoch's exact batch stream.
-  struct StreamSnapshot {
-    std::vector<Tensor> params;
-    optim::AdamState adam;
-    RngState rng;
-    std::string source_state;
+  auto eval = [&](data::BatchSource* source) {
+    return Metrics(TerminalHead(),
+                   ScoreSource(*model, TerminalHead(), source, {}));
   };
-  auto take_snapshot = [&]() {
-    StreamSnapshot snap;
-    snap.params.reserve(params.size());
-    for (const ag::Variable& p : params) {
-      snap.params.push_back(p.value().Clone());
-    }
-    snap.adam = adam.ExportState();
-    snap.rng = rng.SaveState();
-    snap.source_state = train->ExportState();
-    return snap;
-  };
-  auto restore_snapshot = [&](const StreamSnapshot& snap) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = snap.params[i].Clone();
-    }
-    adam.RestoreState(snap.adam);
-    rng.RestoreState(snap.rng);
-    ELDA_CHECK(train->RestoreState(snap.source_state));
-  };
-  auto write_checkpoint = [&](int64_t next_epoch) {
-    TrainCheckpoint ckpt;
-    ckpt.next_epoch = next_epoch;
-    ckpt.epochs_run = result.epochs_run;
-    ckpt.best_epoch = result.best_epoch;
-    ckpt.epochs_without_improvement = epochs_without_improvement;
-    ckpt.total_batches = total_batches;
-    ckpt.recoveries = result.recoveries;
-    ckpt.skipped_batches = result.skipped_batches;
-    ckpt.best_val_auc_pr = best_val_auc_pr;
-    ckpt.best_val = result.val;
-    ckpt.total_batch_seconds = total_batch_seconds;
-    ckpt.params_blob = nn::EncodeParameters(*model);
-    ckpt.adam = adam.ExportState();
-    ckpt.rng = rng.SaveState();
-    ckpt.source_state = train->ExportState();
-    ckpt.best_params.reserve(best_params.size());
-    for (const Tensor& t : best_params) {
-      ckpt.best_params.push_back(t.Clone());
-    }
-    std::string err;
-    if (!SaveTrainCheckpoint(config_.checkpoint_path, ckpt, &err)) {
-      ++result.checkpoint_write_failures;
-      std::cerr << model->name() << ": checkpoint write failed (" << err
-                << "); training continues\n";
-    }
-  };
-
-  nn::ForwardContext train_ctx;
-  train_ctx.training = true;
-  train_ctx.rng = &rng;
-
-  bool aborted = false;
-  for (int64_t epoch = start_epoch;
-       epoch < config_.max_epochs && !aborted; ++epoch) {
-    const StreamSnapshot boundary = take_snapshot();
-    double epoch_loss = 0.0;
-    int64_t epoch_batches = 0;
-    bool epoch_complete = false;
-    while (!epoch_complete && !aborted) {
-      train->StartEpoch();
-      epoch_loss = 0.0;
-      epoch_batches = 0;
-      bool rolled_back = false;
-      data::Batch batch;
-      while (train->Next(&batch)) {
-        Stopwatch sw;
-        adam.ZeroGrad();
-        ag::Variable logits = model->Forward(batch, &train_ctx);
-        ag::Variable loss = ag::BceWithLogits(logits, batch.y);
-        loss.Backward();
-        if (inject->ConsumePoisonGrad(global_step)) {
-          PoisonGradients(params);
-        }
-        const float grad_norm =
-            config_.clip_norm > 0.0f
-                ? optim::ClipGradNorm(params, config_.clip_norm)
-                : optim::GlobalGradNorm(params);
-        const double loss_value = loss.value()[0];
-        ++global_step;
-        const health::StepVerdict verdict =
-            monitor.Check(loss_value, grad_norm);
-        if (verdict != health::StepVerdict::kHealthy) {
-          if (config_.verbose) {
-            std::cerr << model->name() << " epoch " << epoch << " step "
-                      << global_step - 1 << ": "
-                      << health::StepVerdictName(verdict) << " (loss "
-                      << loss_value << ", grad norm " << grad_norm << ")\n";
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kSkipBatch &&
-              result.skipped_batches < config_.health.max_skipped_batches) {
-            ++result.skipped_batches;
-            continue;
-          }
-          if (config_.health.policy == health::RecoveryPolicy::kRollback &&
-              result.recoveries < config_.health.max_rollbacks) {
-            ++result.recoveries;
-            const float halved_lr = adam.lr() * 0.5f;
-            restore_snapshot(boundary);
-            adam.set_lr(halved_lr);
-            monitor.Reset();
-            rolled_back = true;
-            break;
-          }
-          aborted = true;
-          result.status_message =
-              std::string("unhealthy step (") +
-              health::StepVerdictName(verdict) + ") at step " +
-              std::to_string(global_step - 1) + "; policy " +
-              (config_.health.policy == health::RecoveryPolicy::kAbort
-                   ? "abort"
-                   : "recovery budget exhausted");
-          break;
-        }
-        adam.Step();
-        monitor.Observe(loss_value);
-        total_batch_seconds += sw.Seconds();
-        ++total_batches;
-        epoch_loss += loss_value;
-        ++epoch_batches;
-      }
-      epoch_complete = !rolled_back;
-    }
-    if (aborted) {
-      result.epochs_run = epoch + 1;
-      break;
-    }
-    result.epochs_run = epoch + 1;
-
-    EvalResult epoch_val;
-    if (val != nullptr) epoch_val = EvaluateSource(model, val);
-    if (config_.verbose) {
-      std::cerr << model->name() << " epoch " << epoch << " train_bce="
-                << (epoch_batches > 0 ? epoch_loss / epoch_batches : 0.0)
-                << " val_auc_pr=" << epoch_val.auc_pr << "\n";
-    }
-    bool stop = false;
-    if (val != nullptr) {
-      if (epoch_val.auc_pr > best_val_auc_pr) {
-        best_val_auc_pr = epoch_val.auc_pr;
-        result.val = epoch_val;
-        result.best_epoch = epoch;
-        epochs_without_improvement = 0;
-        best_params.clear();
-        for (const ag::Variable& p : params) {
-          best_params.push_back(p.value().Clone());
-        }
-      } else if (++epochs_without_improvement > config_.patience) {
-        stop = true;
-      }
-    }
-    if (checkpointing && (epoch + 1) % config_.checkpoint_every == 0) {
-      write_checkpoint(epoch + 1);
-    }
-    if (stop) break;
-  }
-
-  if (!best_params.empty()) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      *params[i].mutable_value() = best_params[i];
-    }
-  }
-  if (test != nullptr) result.test = EvaluateSource(model, test);
-  result.status = aborted ? health::TrainStatus::kAborted
-                  : (result.recoveries > 0 || result.skipped_batches > 0)
-                      ? health::TrainStatus::kRecovered
-                      : health::TrainStatus::kOk;
-  result.train_seconds_per_batch =
-      total_batches > 0 ? total_batch_seconds / total_batches : 0.0;
-  return result;
+  LoopJob job{model, &TerminalHead(), model, train, &rng, {}, {}};
+  if (val != nullptr) job.eval_val = [&] { return eval(val); };
+  if (test != nullptr) job.eval_test = [&] { return eval(test); };
+  return SingleHead(RunLoop(config_, job));
 }
 
 }  // namespace train

@@ -1,11 +1,18 @@
-// Task-agnostic training loop used for every model in the evaluation.
+// Training and scoring for every model in the evaluation.
 //
-// Mirrors the paper's protocol (Section V-A): Adam, initial learning rate
-// 1e-3, batch size 64, 80/10/10 split, model selection on the validation
-// set, metrics BCE / AUC-ROC / AUC-PR on the held-out test set. Early
-// stopping monitors validation AUC-PR; the best-epoch parameters are
-// restored before the final evaluation. Timing instrumentation feeds the
-// Table III efficiency bench.
+// Training is one loop over (data::BatchSource, MultiHead), mirroring the
+// paper's protocol (Section V-A): Adam, learning rate 1e-3, batch size 64,
+// early stopping on validation (mean) AUC-PR, best-epoch parameters
+// restored before the test evaluation (BCE / AUC-ROC / AUC-PR). A plain
+// model trains as (Batcher, one weight-1 BinaryTerminalHead): bitwise its
+// own Forward + BCE. Checkpoints carry the source's ExportState, so
+// kill-and-resume is bitwise for the Batcher and the ShardedLoader alike.
+//
+// Scoring is one per-minibatch function (one encoding, every head over it,
+// graph-free) under two drivers: Predict / Evaluate spread an index set's
+// minibatches over the elda::par pool; EvaluateMultiTask and the
+// BatchSource paths drain serially, leaving the pool to the kernels. All
+// metrics are the masked ones of metrics/metrics.h (non-finite scores skip).
 
 #ifndef ELDA_TRAIN_TRAINER_H_
 #define ELDA_TRAIN_TRAINER_H_
@@ -33,15 +40,15 @@ struct TrainerConfig {
   bool verbose = false;     // per-epoch progress on stderr
   // Worker threads for the elda::par kernels and batched prediction during
   // this trainer's run; 0 = automatic (ELDA_THREADS env, then
-  // hardware_concurrency). Applied for the duration of Train().
+  // hardware_concurrency). Applied for the duration of each run.
   int64_t num_threads = 0;
 
   // -- Fault tolerance -------------------------------------------------------
   // When `checkpoint_path` is non-empty and `checkpoint_every` > 0, the full
-  // run state (parameters, Adam moments/step, RNG, batcher order, best-val
-  // snapshot, patience counters) is written atomically to `checkpoint_path`
-  // every `checkpoint_every` epochs. With `resume` set, Train() restores
-  // from an existing checkpoint and continues; the resumed run converges to
+  // run state (parameters, Adam moments/step, RNG, batch-source cursor,
+  // best-val snapshot, patience counters) is written atomically to
+  // `checkpoint_path` every `checkpoint_every` epochs. With `resume` set, a
+  // run restores from an existing checkpoint and continues; it converges to
   // the bitwise-identical parameters and metrics of an uninterrupted run.
   std::string checkpoint_path;
   int64_t checkpoint_every = 0;
@@ -65,9 +72,9 @@ struct InferenceOptions {
   // setting (--threads / ELDA_THREADS / hardware).
   int64_t num_threads = 0;
   // Evaluate independent minibatches concurrently on the elda::par pool.
-  // Minibatch composition is fixed by batch_size and scores are written to
-  // disjoint ranges, so results are bitwise identical to the serial path.
-  // Ignored by the micro-batcher (one scoring thread by construction).
+  // Minibatch composition is fixed by batch_size, so results are bitwise
+  // the serial path's. Ignored by EvaluateMultiTask, the BatchSource paths
+  // and the micro-batcher (one scoring thread by construction).
   bool parallel = true;
   // Optional attention-capture sink threaded into every ForwardContext on
   // this path (nullptr = capture nothing). Forces Predict onto the serial
@@ -87,51 +94,31 @@ struct EvalResult {
   double auc_pr = 0.0;
 };
 
-// Per-head metrics for a multi-task evaluation, in the MultiHead's Add
-// order. Per-step heads (decompensation) report masked, micro-averaged
-// metrics over valid (score, label) cells: padding steps are excluded by
-// the validity mask and warm-up steps by the non-finite-score rule (see
-// metrics/metrics.h).
+// Per-head metrics in the MultiHead's Add order. Per-step heads
+// (decompensation) micro-average over valid cells: padding is masked out,
+// and warm-up steps score non-finite, which metrics/metrics.h skips.
 struct MultiTaskEvalResult {
   std::vector<std::string> tasks;    // task_name per head
   std::vector<EvalResult> per_task;  // aligned with `tasks`
-  // Unweighted mean AUC-PR across heads — the model-selection metric of the
-  // multi-task loop. With a single head this is that head's AUC-PR, so
-  // single-task training through MultiHead early-stops identically to the
-  // legacy loop.
+  // Unweighted mean AUC-PR across heads — the model-selection metric. With a
+  // single head this is bitwise that head's AUC-PR.
   double mean_auc_pr = 0.0;
 
   // Metrics for a task by name; CHECK-fails when absent.
   const EvalResult& ForTask(const std::string& task) const;
 };
 
-struct MultiTaskTrainResult {
-  MultiTaskEvalResult val;   // best-epoch parameters, validation split
-  MultiTaskEvalResult test;  // best-epoch parameters, test split
+// Run outcome shared by every training entry point. kOk / kRecovered:
+// val/test metrics are valid. kAborted: they are best-so-far (test on the
+// best epoch's parameters, or the abort's when no epoch completed). Other
+// statuses: the run never started, metrics are zero. `val` is the best
+// epoch's measurement, re-evaluated on the final parameters only when the
+// run lacks it (per-head metrics after a multi-head resume, no epoch run).
+struct TrainRun {
   int64_t epochs_run = 0;
   int64_t best_epoch = 0;
-  int64_t num_parameters = 0;  // trunk + heads
+  int64_t num_parameters = 0;  // every trained parameter (trunk + heads)
   double train_seconds_per_batch = 0.0;
-
-  health::TrainStatus status = health::TrainStatus::kOk;
-  std::string status_message;
-  int64_t recoveries = 0;
-  int64_t skipped_batches = 0;
-  int64_t checkpoint_write_failures = 0;
-};
-
-struct TrainResult {
-  EvalResult val;
-  EvalResult test;
-  int64_t epochs_run = 0;
-  int64_t best_epoch = 0;
-  double train_seconds_per_batch = 0.0;
-  double predict_ms_per_sample = 0.0;
-  int64_t num_parameters = 0;
-
-  // Structured run outcome. kOk / kRecovered mean val/test metrics are
-  // valid; anything else means the run ended early and `status_message`
-  // says why (metrics are best-so-far for kAborted, zero otherwise).
   health::TrainStatus status = health::TrainStatus::kOk;
   std::string status_message;
   int64_t recoveries = 0;        // rollback-and-halve interventions taken
@@ -139,75 +126,69 @@ struct TrainResult {
   int64_t checkpoint_write_failures = 0;
 };
 
+struct MultiTaskTrainResult : TrainRun {
+  MultiTaskEvalResult val;   // best-epoch parameters, validation split
+  MultiTaskEvalResult test;  // best-epoch parameters, test split
+};
+
+struct TrainResult : TrainRun {
+  EvalResult val;
+  EvalResult test;
+  // Single-sample graph-free latency (Table III), measured by Train only.
+  double predict_ms_per_sample = 0.0;
+};
+
 class Trainer {
  public:
   explicit Trainer(TrainerConfig config) : config_(config) {}
 
-  // Trains `model` on prepared samples under `split`, returns validation and
-  // test metrics at the best validation epoch.
+  // Trains `model` on `split`; checkpoints serialize the model itself.
+  // Resuming from a checkpoint written for another train split (or with no
+  // batch-source state) fails with kCheckpointError.
   TrainResult Train(SequenceModel* model,
                     const std::vector<data::PreparedSample>& prepared,
                     const data::SplitIndices& split, data::Task task) const;
 
-  // Runs the model graph-free (ag::NoGradScope, inference-mode
-  // ForwardContext) over the given index set in minibatches and returns
-  // sigmoid probabilities plus the aligned task labels, both in `indices`
-  // order. The single batching loop behind every evaluation and scoring
-  // path; independent minibatches are evaluated across the elda::par pool
-  // when `options.parallel` is set, each worker with its own context.
+  // Sigmoid probabilities and the aligned task labels over an index set, in
+  // `indices` order, graph-free (ag::NoGradScope, inference-mode contexts).
+  // With `options.parallel`, minibatches run across the elda::par pool.
   static PredictResult Predict(const SequenceModel* model,
                                const std::vector<data::PreparedSample>& prepared,
                                const std::vector<int64_t>& indices,
                                data::Task task,
                                const InferenceOptions& options = {});
 
-  // Thin metrics wrapper over Predict(): BCE / AUC-ROC / AUC-PR on the
-  // given index set.
+  // Metrics over Predict(): BCE / AUC-ROC / AUC-PR on the given index set.
   static EvalResult Evaluate(const SequenceModel* model,
                              const std::vector<data::PreparedSample>& prepared,
                              const std::vector<int64_t>& indices,
                              data::Task task,
                              const InferenceOptions& options = {});
 
-  // -- Multi-task (encoder + task heads) ------------------------------------
-  //
-  // Trains one encoder trunk under a MultiHead's weighted joint loss. The
-  // optimizer, gradient clipping, health monitoring, and epoch-boundary
-  // checkpoint/resume cover trunk AND head parameters (bundled via
-  // ModelWithHead, trunk first); an interrupted-and-resumed run converges to
-  // bitwise-identical parameters. `task` fixes which primary label rides in
-  // batch.y (what BinaryTerminalHead trains on); per-step and per-head
-  // labels come from the batch's multi-task slabs. Model selection monitors
-  // the unweighted mean AUC-PR across heads, and with a single
-  // BinaryTerminalHead of weight 1 the whole loop — batches, dropout draws,
-  // losses, updates, early stopping — is bitwise the single-task Train().
+  // Trains one encoder trunk under a MultiHead's weighted joint loss; Adam
+  // and checkpoints cover trunk and heads (ModelWithHead, trunk first).
+  // `task` picks the primary label in batch.y (BinaryTerminalHead's);
+  // other heads read the batch's multi-task slabs. With one weight-1
+  // BinaryTerminalHead the run is bitwise the single-task Train().
   MultiTaskTrainResult TrainMultiTask(
       SequenceModel* model, MultiHead* heads,
       const std::vector<data::PreparedSample>& prepared,
       const data::SplitIndices& split,
       data::Task task = data::Task::kMortality) const;
 
-  // Graph-free multi-task evaluation: one encoding bundle per minibatch,
-  // every head scored over it, masked metrics per head. Minibatch
-  // composition matches Predict(), and head logits are batching-independent,
-  // so scores are bitwise stable across batch sizes.
+  // Graph-free multi-task evaluation with masked metrics per head, drained
+  // serially (options.parallel is ignored). Minibatch composition matches
+  // Predict(), and head logits are batching-independent, so scores are
+  // bitwise stable across batch sizes.
   static MultiTaskEvalResult EvaluateMultiTask(
       const SequenceModel* model, const MultiHead* heads,
       const std::vector<data::PreparedSample>& prepared,
       const std::vector<int64_t>& indices, data::Task task,
       const InferenceOptions& options = {});
 
-  // -- Streamed (out-of-core) paths -----------------------------------------
-  //
-  // The same protocol as Train/Predict/Evaluate, but batches come from a
-  // data::BatchSource (the in-RAM Batcher or the out-of-core ShardedLoader),
-  // so cohorts never need to fit in memory. Checkpoints carry the source's
-  // exported cursor state instead of a batch order; with a self-contained
-  // source (ShardedLoader owns its shuffle rng) resume is bitwise. Labels
-  // ride in each batch's y, so no task/split arguments are needed.
-
-  // One full pass over `source` (StartEpoch + drain), graph-free; scores and
-  // labels in the source's epoch order.
+  // Streamed paths: batches (labels in y) come from a data::BatchSource, so
+  // cohorts never need to fit in memory. One full pass over `source`
+  // (StartEpoch + drain), graph-free, in the source's epoch order.
   static PredictResult PredictSource(const SequenceModel* model,
                                      data::BatchSource* source,
                                      const InferenceOptions& options = {});
@@ -218,10 +199,9 @@ class Trainer {
                                    const InferenceOptions& options = {});
 
   // Trains on `train`, selecting on `val` and reporting on `test` (either
-  // may be null: no early stopping / no test metrics respectively). Health
-  // policies, fault injection, and epoch-boundary checkpoint/resume match
-  // Train; the rollback and resume paths restore the training source via
-  // RestoreState.
+  // may be null: no early stopping / no test metrics respectively). With a
+  // self-contained source (ShardedLoader owns its shuffle rng) resume is
+  // bitwise.
   TrainResult TrainStreamed(SequenceModel* model, data::BatchSource* train,
                             data::BatchSource* val,
                             data::BatchSource* test) const;

@@ -1,9 +1,8 @@
-// Declarative command-line parsing for the bench and example binaries —
-// the successor to the stringly-typed util::Flags spec. Flags register a
-// typed destination plus help text up front, so every binary gets a
-// `--help` usage page for free, values are validated at parse time (a
-// malformed integer is a usage error, not an uncaught std::stoll throw),
-// and the registration site is the single source of defaults.
+// Declarative command-line parsing for the bench and example binaries.
+// Flags register a typed destination plus help text up front, so every
+// binary gets a `--help` usage page for free, values are validated at
+// parse time (a malformed integer is a usage error, not an uncaught
+// exception), and the registration site is the single source of defaults.
 //
 //   std::string model = "GRU";
 //   int64_t sessions = 100000;

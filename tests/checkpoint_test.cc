@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "data/pipeline.h"
 #include "gtest/gtest.h"
@@ -10,6 +12,7 @@
 #include "nn/gru.h"
 #include "nn/linear.h"
 #include "nn/serialize.h"
+#include "train/task_head.h"
 #include "train/trainer.h"
 
 namespace elda {
@@ -101,6 +104,41 @@ TrainerConfig BaseConfig() {
   config.learning_rate = 0.01f;
   return config;
 }
+
+// The training entry points the fault-tolerance contracts are checked
+// through: Train, and TrainMultiTask over one weight-1 BinaryTerminalHead
+// (its checkpoints serialize the ModelWithHead bundle) reported in
+// TrainResult form, so the same assertions apply to both.
+using TrainEntry = TrainResult (*)(const TrainerConfig&, SequenceModel*,
+                                   const std::vector<data::PreparedSample>&,
+                                   const data::SplitIndices&);
+
+TrainResult TrainSingleTask(const TrainerConfig& config,
+                            SequenceModel* model,
+                            const std::vector<data::PreparedSample>& prepared,
+                            const data::SplitIndices& split) {
+  return Trainer(config).Train(model, prepared, split,
+                               data::Task::kMortality);
+}
+
+TrainResult TrainMultiTaskSingleHead(
+    const TrainerConfig& config, SequenceModel* model,
+    const std::vector<data::PreparedSample>& prepared,
+    const data::SplitIndices& split) {
+  MultiHead heads;
+  heads.Add(std::make_unique<BinaryTerminalHead>());
+  const MultiTaskTrainResult run = Trainer(config).TrainMultiTask(
+      model, &heads, prepared, split, data::Task::kMortality);
+  TrainResult result;
+  static_cast<TrainRun&>(result) = run;
+  if (!run.val.per_task.empty()) result.val = run.val.per_task[0];
+  if (!run.test.per_task.empty()) result.test = run.test.per_task[0];
+  return result;
+}
+
+const std::pair<const char*, TrainEntry> kEntries[] = {
+    {"Train", &TrainSingleTask},
+    {"TrainMultiTask", &TrainMultiTaskSingleHead}};
 
 // Keeps the global fault injector pristine around each test.
 class FaultToleranceTest : public ::testing::Test {
@@ -216,7 +254,7 @@ TEST_F(FaultToleranceTest, KillAndResumeIsBitwiseIdentical) {
   EXPECT_EQ(result_b.status, health::TrainStatus::kOk);
 }
 
-TEST_F(FaultToleranceTest, ResumeRejectsCheckpointFromDifferentSplit) {
+void ExpectResumeRejectsCheckpointFromDifferentSplit(TrainEntry train) {
   auto prepared = SeparableData(100, 3);
   auto split = EvenSplit(100);
   TrainerConfig config = BaseConfig();
@@ -224,9 +262,7 @@ TEST_F(FaultToleranceTest, ResumeRejectsCheckpointFromDifferentSplit) {
   config.checkpoint_path = TempPath("wrong_split.ckpt");
   config.checkpoint_every = 1;
   TinyGruModel model(3, 4, 4);
-  ASSERT_EQ(Trainer(config)
-                .Train(&model, prepared, split, data::Task::kMortality)
-                .status,
+  ASSERT_EQ(train(config, &model, prepared, split).status,
             health::TrainStatus::kOk);
 
   // Same file, different train indices.
@@ -234,11 +270,52 @@ TEST_F(FaultToleranceTest, ResumeRejectsCheckpointFromDifferentSplit) {
   other.train.pop_back();
   config.resume = true;
   TinyGruModel model2(3, 4, 5);
-  TrainResult result = Trainer(config).Train(&model2, prepared, other,
-                                             data::Task::kMortality);
+  TrainResult result = train(config, &model2, prepared, other);
   EXPECT_EQ(result.status, health::TrainStatus::kCheckpointError);
   EXPECT_NE(result.status_message.find("different train split"),
             std::string::npos);
+}
+
+TEST_F(FaultToleranceTest, ResumeRejectsCheckpointFromDifferentSplit) {
+  for (const auto& [name, train] : kEntries) {
+    SCOPED_TRACE(name);
+    ExpectResumeRejectsCheckpointFromDifferentSplit(train);
+  }
+}
+
+TEST_F(FaultToleranceTest, ResumeRejectsCheckpointWithoutSourceState) {
+  // A checkpoint in the older layout: the batcher permutation in
+  // batch_order, no batch-source state. Resuming must fail cleanly rather
+  // than abort.
+  auto prepared = SeparableData(100, 3);
+  auto split = EvenSplit(100);
+  TrainerConfig config = BaseConfig();
+  config.max_epochs = 1;
+  config.checkpoint_path = TempPath("no_source_state.ckpt");
+  config.checkpoint_every = 1;
+  TinyGruModel model(3, 4, 4);
+  ASSERT_EQ(Trainer(config)
+                .Train(&model, prepared, split, data::Task::kMortality)
+                .status,
+            health::TrainStatus::kOk);
+  TrainCheckpoint ckpt;
+  std::string error;
+  ASSERT_TRUE(LoadTrainCheckpoint(config.checkpoint_path, &ckpt, &error))
+      << error;
+  ASSERT_FALSE(ckpt.source_state.empty());
+  ckpt.source_state.clear();
+  ckpt.batch_order = split.train;
+  ASSERT_TRUE(SaveTrainCheckpoint(config.checkpoint_path, ckpt, &error))
+      << error;
+
+  config.resume = true;
+  TinyGruModel model2(3, 4, 5);
+  TrainResult result = Trainer(config).Train(&model2, prepared, split,
+                                             data::Task::kMortality);
+  EXPECT_EQ(result.status, health::TrainStatus::kCheckpointError);
+  EXPECT_NE(result.status_message.find("different train split"),
+            std::string::npos)
+      << result.status_message;
 }
 
 TEST_F(FaultToleranceTest, BitFlippedCheckpointIsRejectedOnResume) {
@@ -309,7 +386,7 @@ TEST_F(FaultToleranceTest, SkipPolicyDropsThePoisonedBatch) {
   EXPECT_EQ(result.epochs_run, 2);
 }
 
-TEST_F(FaultToleranceTest, AbortPolicyReturnsStructuredStatus) {
+void ExpectAbortPolicyReturnsStructuredStatus(TrainEntry train) {
   auto prepared = SeparableData(200, 1);
   auto split = EvenSplit(200);
   health::FaultPlan plan;
@@ -319,13 +396,25 @@ TEST_F(FaultToleranceTest, AbortPolicyReturnsStructuredStatus) {
   TrainerConfig config = BaseConfig();
   config.health.policy = health::RecoveryPolicy::kAbort;
   TinyGruModel model(3, 8, 2);
-  TrainResult result = Trainer(config).Train(&model, prepared, split,
-                                             data::Task::kMortality);
+  TrainResult result = train(config, &model, prepared, split);
   EXPECT_EQ(result.status, health::TrainStatus::kAborted);
   EXPECT_NE(result.status_message.find("non-finite"), std::string::npos)
       << result.status_message;
   EXPECT_NE(result.status_message.find("step 3"), std::string::npos)
       << result.status_message;
+  // Metrics are best-so-far: the test split scored on the parameters the
+  // run leaves in the model.
+  const EvalResult now = Trainer::Evaluate(&model, prepared, split.test,
+                                           data::Task::kMortality);
+  EXPECT_DOUBLE_EQ(result.test.auc_roc, now.auc_roc);
+  EXPECT_DOUBLE_EQ(result.test.bce, now.bce);
+}
+
+TEST_F(FaultToleranceTest, AbortPolicyReturnsStructuredStatus) {
+  for (const auto& [name, train] : kEntries) {
+    SCOPED_TRACE(name);
+    ExpectAbortPolicyReturnsStructuredStatus(train);
+  }
 }
 
 TEST_F(FaultToleranceTest, FailedCheckpointWriteDoesNotStopTraining) {

@@ -5,7 +5,6 @@
 
 #include "gtest/gtest.h"
 #include "util/argparse.h"
-#include "util/flags.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -17,22 +16,29 @@ TEST(ArgParserTest, TypedAssignmentAndProvided) {
   std::string name = "GRU";
   int64_t count = 10;
   double rate = 0.5;
+  double lr = 0.0;
   bool flag = false;
   bool untouched = true;
+  std::string label = "x";
   util::ArgParser parser("prog", "test");
   parser.String("name", &name, "a string")
       .Int("count", &count, "an int")
       .Double("rate", &rate, "a double")
+      .Double("lr", &lr, "a double in --name=value form")
       .Bool("flag", &flag, "a switch")
-      .Bool("untouched", &untouched, "left alone");
+      .Bool("untouched", &untouched, "left alone")
+      .String("label", &label, "left alone");
   const char* argv[] = {"prog", "--name", "LSTM", "--count=42", "--rate",
-                        "1.25", "--flag"};
-  parser.Parse(7, const_cast<char**>(argv));
+                        "1.25", "--lr=0.05", "--flag"};
+  parser.Parse(8, const_cast<char**>(argv));
   EXPECT_EQ(name, "LSTM");
   EXPECT_EQ(count, 42);
   EXPECT_EQ(rate, 1.25);
   EXPECT_TRUE(flag);
   EXPECT_TRUE(untouched);  // default preserved
+  EXPECT_DOUBLE_EQ(lr, 0.05);
+  EXPECT_EQ(label, "x");
+  EXPECT_FALSE(parser.Provided("label"));
   EXPECT_TRUE(parser.Provided("count"));
   EXPECT_FALSE(parser.Provided("untouched"));
 }
@@ -164,32 +170,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += parent.Next() == child.Next();
   EXPECT_LT(same, 2);
-}
-
-TEST(FlagsTest, ParsesSeparateValueForm) {
-  const char* argv[] = {"prog", "--epochs", "12"};
-  Flags flags(3, const_cast<char**>(argv), {"epochs"});
-  EXPECT_EQ(flags.GetInt("epochs", 0), 12);
-}
-
-TEST(FlagsTest, ParsesEqualsForm) {
-  const char* argv[] = {"prog", "--lr=0.05"};
-  Flags flags(2, const_cast<char**>(argv), {"lr"});
-  EXPECT_DOUBLE_EQ(flags.GetDouble("lr", 0.0), 0.05);
-}
-
-TEST(FlagsTest, BareSwitchIsTrue) {
-  const char* argv[] = {"prog", "--full"};
-  Flags flags(2, const_cast<char**>(argv), {"full"});
-  EXPECT_TRUE(flags.GetBool("full", false));
-}
-
-TEST(FlagsTest, AbsentFlagUsesDefault) {
-  const char* argv[] = {"prog"};
-  Flags flags(1, const_cast<char**>(argv), {"epochs"});
-  EXPECT_EQ(flags.GetInt("epochs", 5), 5);
-  EXPECT_EQ(flags.GetString("epochs", "x"), "x");
-  EXPECT_FALSE(flags.Has("epochs"));
 }
 
 TEST(TableTest, AlignsColumns) {
