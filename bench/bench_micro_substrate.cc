@@ -37,6 +37,12 @@ Tensor RandomTensor(std::vector<int64_t> shape, uint64_t seed) {
   return Tensor::Normal(std::move(shape), 0.0f, 1.0f, &rng);
 }
 
+// Every buffer acquire the pool has served, pooled or not.
+int64_t PoolAcquires() {
+  const mem::PoolStats stats = mem::Pool::Global().Stats();
+  return stats.acquires + stats.small_acquires + stats.huge_acquires;
+}
+
 // The kernel benchmarks take the thread count as their last argument so a
 // single run shows the elda::par scaling curve (1 = the serial fallback).
 
@@ -180,16 +186,48 @@ BENCHMARK(BM_RecurrentSweep)
     ->Args({256, 0})
     ->Args({256, 1});
 
+// The fused feature-interaction tile at ELDA-Net's embedding width (E = 24,
+// d = 4, T = 48): arg0 = features C, arg1 = batch size, arg2 = mode — 0 a
+// taped forward, 1 forward + backward (de included), 2 a no-grad forward.
+// Counters report tape nodes and pooled buffer acquires per iteration.
 void BM_FeatureInteractionFactored(benchmark::State& state) {
   const int64_t c = state.range(0);
+  const int64_t batch_size = state.range(1);
+  const int64_t mode = state.range(2);
   Rng rng(10);
   core::FeatureInteraction module(c, 24, 4, &rng);
-  ag::Variable e = ag::Constant(RandomTensor({8, 48, c, 24}, 11));
+  ag::Variable e(RandomTensor({batch_size, 48, c, 24}, 11),
+                 /*requires_grad=*/mode == 1);
+  int64_t tape_nodes = 0;
+  int64_t acquires = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(module.Forward(e));
+    const int64_t nodes_before = ag::TapeNodesAllocated();
+    const int64_t acquires_before = PoolAcquires();
+    if (mode == 1) {
+      module.ZeroGrad();
+      e.ZeroGrad();
+      ag::SumAll(module.Forward(e)).Backward();
+    } else if (mode == 2) {
+      ag::NoGradScope no_grad;
+      benchmark::DoNotOptimize(module.Forward(e));
+    } else {
+      benchmark::DoNotOptimize(module.Forward(e));
+    }
+    tape_nodes += ag::TapeNodesAllocated() - nodes_before;
+    acquires += PoolAcquires() - acquires_before;
   }
+  const double iters = static_cast<double>(state.iterations());
+  state.counters["tape_nodes_per_iter"] =
+      benchmark::Counter(static_cast<double>(tape_nodes) / iters);
+  state.counters["buffer_acquires_per_iter"] =
+      benchmark::Counter(static_cast<double>(acquires) / iters);
 }
-BENCHMARK(BM_FeatureInteractionFactored)->Arg(12)->Arg(24)->Arg(37);
+BENCHMARK(BM_FeatureInteractionFactored)
+    ->Args({12, 8, 0})
+    ->Args({24, 8, 0})
+    ->Args({37, 8, 0})
+    ->Args({37, 64, 1})
+    ->Args({37, 256, 2});
 
 // The naive pairwise implementation of Eqs. 3-6 that materialises every
 // r_ij, as a reference for the DESIGN.md factoring ablation (values-only,
@@ -292,13 +330,9 @@ void BM_EldaNetInference(benchmark::State& state) {
   batch.delta = Tensor::Zeros({batch_size, 48, 37});
   int64_t tape_nodes = 0;
   int64_t acquires = 0;
-  auto total_acquires = [] {
-    const mem::PoolStats stats = mem::Pool::Global().Stats();
-    return stats.acquires + stats.small_acquires + stats.huge_acquires;
-  };
   for (auto _ : state) {
     const int64_t nodes_before = ag::TapeNodesAllocated();
-    const int64_t acquires_before = total_acquires();
+    const int64_t acquires_before = PoolAcquires();
     if (no_grad) {
       ag::NoGradScope scope;
       benchmark::DoNotOptimize(net.Forward(batch));
@@ -306,7 +340,7 @@ void BM_EldaNetInference(benchmark::State& state) {
       benchmark::DoNotOptimize(net.Forward(batch));
     }
     tape_nodes += ag::TapeNodesAllocated() - nodes_before;
-    acquires += total_acquires() - acquires_before;
+    acquires += PoolAcquires() - acquires_before;
   }
   const double iters = static_cast<double>(state.iterations());
   state.counters["tape_nodes_per_iter"] =
@@ -441,7 +475,7 @@ int main(int argc, char** argv) {
   int pass_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pass_argc, passthrough.data());
   if (benchmark::ReportUnrecognizedArguments(pass_argc, passthrough.data())) {
-    return 1;
+    return 2;  // a usage error, like every ArgParser binary
   }
   elda::JsonCollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);

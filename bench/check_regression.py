@@ -40,7 +40,11 @@ KEY_OPS = [
     "BM_GruForward",
     "BM_RecurrentSweep/256/0",
     "BM_RecurrentSweep/256/1",
-    "BM_FeatureInteractionFactored/37",
+    # The fused feature-interaction tile: taped forward at B=8, forward +
+    # backward at the training shape (B=64), no-grad scoring at B=256.
+    "BM_FeatureInteractionFactored/37/8/0",
+    "BM_FeatureInteractionFactored/37/64/1",
+    "BM_FeatureInteractionFactored/37/256/2",
     "BM_EldaNetForwardBackward",
     "BM_EldaNetInference/256/1",
     # Out-of-core data substrate (bench_loader --json_out, schema

@@ -145,6 +145,27 @@ Variable ExpNegRelu(const Variable& a) {
   });
 }
 
+Variable FeatureInteractionTile(const Variable& e, const Variable& w_alpha,
+                                const Variable& b_alpha, const Variable& p,
+                                Tensor* alpha_out) {
+  Tensor ev = e.value();
+  Tensor wv = w_alpha.value();
+  Tensor bv = b_alpha.value();
+  Tensor pv = p.value();
+  return MakeOpResult(
+      elda::FeatureInteractionTile(ev, wv, bv, pv, alpha_out),
+      {e, w_alpha, b_alpha, p}, [ev, wv, bv, pv](Node* n) {
+        const bool want_de = n->parents[0]->requires_grad;
+        elda::FeatureInteractionTileGrads grads =
+            elda::FeatureInteractionTileBackward(ev, wv, bv, pv, n->grad,
+                                                 want_de);
+        if (want_de) AccumulateGrad(n->parents[0].get(), grads.de);
+        AccumulateGrad(n->parents[1].get(), grads.dw);
+        AccumulateGrad(n->parents[2].get(), grads.db);
+        AccumulateGrad(n->parents[3].get(), grads.dp);
+      });
+}
+
 Variable Relu(const Variable& a) {
   Tensor x = a.value();
   return MakeOpResult(elda::Relu(x), {a}, [x](Node* n) {

@@ -60,6 +60,17 @@ Variable AddSigmoid(const Variable& a, const Variable& b);  // sigmoid(a + b)
 Variable AddTanh(const Variable& a, const Variable& b);     // tanh(a + b)
 Variable ExpNegRelu(const Variable& a);                     // exp(-relu(a))
 
+// ELDA's feature-level interaction chain (paper Eqs. 5-6) as one op and one
+// tape node: e [..., C, E], w_alpha [C, E], b_alpha [C], p [2E, D] ->
+// relu([e ; e ⊙ (α e)]) p as [..., C*D], where α is the diagonal-masked row
+// softmax of (w_alpha ⊙ e) eᵀ + b_alpha. Forward and backward are bitwise
+// equal to the composed chain (tensor/tensor_ops.h "Feature-interaction
+// tile"); the backward recomputes α, so the tape keeps only the inputs.
+// `alpha_out`, when non-null, receives α as [..., C, C].
+Variable FeatureInteractionTile(const Variable& e, const Variable& w_alpha,
+                                const Variable& b_alpha, const Variable& p,
+                                Tensor* alpha_out);
+
 // -- Linear algebra ---------------------------------------------------------------
 
 // Supported operand ranks follow tensor MatMul: 2-D x 2-D, 3-D x 3-D, and

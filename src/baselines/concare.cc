@@ -27,8 +27,8 @@ struct ConCareStreamState : nn::StepState {
 
 ConCare::ConCare(int64_t num_features, int64_t per_feature_hidden,
                  uint64_t seed)
-    : rng_(seed),
-      num_features_(num_features),
+    : train::SequenceModel(num_features),
+      rng_(seed),
       hidden_(per_feature_hidden),
       wq_(per_feature_hidden, per_feature_hidden, /*use_bias=*/false, &rng_),
       wk_(per_feature_hidden, per_feature_hidden, false, &rng_),
@@ -53,8 +53,8 @@ ag::Variable ConCare::EncodeTerminal(const data::Batch& batch,
   ag::Variable x = ag::Constant(batch.x);
   // Per-feature GRU encoders; keep each feature's final state.
   std::vector<ag::Variable> summaries;
-  summaries.reserve(num_features_);
-  for (int64_t c = 0; c < num_features_; ++c) {
+  summaries.reserve(num_features());
+  for (int64_t c = 0; c < num_features(); ++c) {
     ag::Variable series = ag::Reshape(ag::Slice(x, 2, c, 1),
                                       {batch_size, steps, 1});
     std::vector<ag::Variable> states =
@@ -74,7 +74,7 @@ ag::Variable ConCare::EncodeTerminal(const data::Batch& batch,
   ag::Variable mixed = ag::MatMul(attention, v);  // [B, C, u]
   // Residual connection keeps each feature's own evidence.
   ag::Variable rep = ag::AddTanh(features, mixed);
-  return ag::Reshape(rep, {batch_size, num_features_ * hidden_});
+  return ag::Reshape(rep, {batch_size, num_features() * hidden_});
 }
 
 ag::Variable ConCare::Readout(const ag::Variable& rep,
@@ -85,7 +85,7 @@ ag::Variable ConCare::Readout(const ag::Variable& rep,
 std::unique_ptr<nn::StepState> ConCare::MakeStepState(
     int64_t /*window_capacity*/) const {
   auto state = std::make_unique<ConCareStreamState>();
-  state->h = Tensor::Zeros({num_features_, hidden_});
+  state->h = Tensor::Zeros({num_features(), hidden_});
   return state;
 }
 
@@ -94,7 +94,7 @@ ag::Variable ConCare::StepForward(const train::StepBatch& obs,
                                   nn::ForwardContext*) const {
   const int64_t n = static_cast<int64_t>(states.size());
   ELDA_CHECK_EQ(obs.x.shape(0), n);
-  ELDA_CHECK_EQ(obs.x.shape(1), num_features_);
+  ELDA_CHECK_EQ(obs.x.shape(1), num_features());
   std::vector<ConCareStreamState*> ss(static_cast<size_t>(n));
   for (int64_t b = 0; b < n; ++b) {
     ss[b] = dynamic_cast<ConCareStreamState*>(states[b]);
@@ -105,9 +105,9 @@ ag::Variable ConCare::StepForward(const train::StepBatch& obs,
   // Step kernels the per-feature sweeps run, on this step's scalar column.
   Tensor col = Tensor::Empty({n, 1});
   Tensor h_prev = Tensor::Empty({n, hidden_});
-  for (int64_t c = 0; c < num_features_; ++c) {
+  for (int64_t c = 0; c < num_features(); ++c) {
     for (int64_t b = 0; b < n; ++b) {
-      col.data()[b] = obs.x.data()[b * num_features_ + c];
+      col.data()[b] = obs.x.data()[b * num_features() + c];
       std::memcpy(h_prev.data() + b * hidden_,
                   ss[b]->h.data() + c * hidden_,
                   static_cast<size_t>(hidden_) * sizeof(float));
@@ -124,10 +124,10 @@ ag::Variable ConCare::StepForward(const train::StepBatch& obs,
 
   // Cross-feature attention over the updated summaries. Each session's
   // state slab is already the [C, u] features slice Forward would build.
-  Tensor feat = Tensor::Empty({n, num_features_, hidden_});
+  Tensor feat = Tensor::Empty({n, num_features(), hidden_});
   for (int64_t b = 0; b < n; ++b) {
-    std::memcpy(feat.data() + b * num_features_ * hidden_, ss[b]->h.data(),
-                static_cast<size_t>(num_features_ * hidden_) * sizeof(float));
+    std::memcpy(feat.data() + b * num_features() * hidden_, ss[b]->h.data(),
+                static_cast<size_t>(num_features() * hidden_) * sizeof(float));
     ++ss[b]->steps_seen;
   }
   ag::Variable features = ag::Constant(feat);
@@ -139,7 +139,7 @@ ag::Variable ConCare::StepForward(const train::StepBatch& obs,
       ag::MulScalar(ag::MatMul(q, ag::TransposeLast2(k)), scale), -1);
   ag::Variable mixed = ag::MatMul(attention, v);
   ag::Variable rep = ag::AddTanh(features, mixed);
-  ag::Variable flat = ag::Reshape(rep, {n, num_features_ * hidden_});
+  ag::Variable flat = ag::Reshape(rep, {n, num_features() * hidden_});
   return ag::Reshape(out_.Forward(flat), {n});
 }
 

@@ -30,7 +30,7 @@ class ConCare : public train::SequenceModel {
                               nn::ForwardContext* ctx) const override;
   ag::Variable Readout(const ag::Variable& rep,
                        nn::ForwardContext* ctx) const override;
-  int64_t encoding_dim() const override { return num_features_ * hidden_; }
+  int64_t encoding_dim() const override { return num_features() * hidden_; }
   std::string name() const override { return "ConCare"; }
 
   // Streaming: one resident [C, u] slab of per-feature GRU states; each
@@ -45,7 +45,6 @@ class ConCare : public train::SequenceModel {
 
  private:
   Rng rng_;
-  int64_t num_features_;
   int64_t hidden_;
   std::vector<std::unique_ptr<nn::Gru>> feature_grus_;
   nn::Linear wq_, wk_, wv_;

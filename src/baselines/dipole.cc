@@ -11,7 +11,8 @@ constexpr int64_t kConcatAttentionDim = 32;
 
 Dipole::Dipole(int64_t num_features, int64_t hidden_dim,
                DipoleAttention attention, uint64_t seed)
-    : rng_(seed),
+    : train::SequenceModel(num_features),
+      rng_(seed),
       attention_(attention),
       hidden_dim_(hidden_dim),
       forward_gru_(num_features, hidden_dim, &rng_),

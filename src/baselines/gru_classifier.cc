@@ -25,7 +25,8 @@ struct GruStreamState : nn::StepState {
 
 GruClassifier::GruClassifier(int64_t num_features, int64_t hidden_dim,
                              uint64_t seed)
-    : rng_(seed),
+    : train::SequenceModel(num_features),
+      rng_(seed),
       gru_(num_features, hidden_dim, &rng_),
       head_(hidden_dim, 1, /*use_bias=*/true, &rng_) {
   RegisterSubmodule("gru", &gru_);

@@ -26,8 +26,8 @@ struct GruDStreamState : nn::StepState {
 }  // namespace
 
 GruD::GruD(int64_t num_features, int64_t hidden_dim, uint64_t seed)
-    : rng_(seed),
-      num_features_(num_features),
+    : train::SequenceModel(num_features),
+      rng_(seed),
       hidden_dim_(hidden_dim),
       decay_h_(num_features, hidden_dim, /*use_bias=*/true, &rng_),
       cell_(2 * num_features, hidden_dim, &rng_),
@@ -64,7 +64,7 @@ nn::SweepResult GruD::RunSweep(const data::Batch& batch) const {
   // Time-major [T*B, .] blocks: the hoisted cell-input GEMM over
   // [x^ ; m], and the per-step hidden decay factors.
   ag::Variable u = ag::Reshape(ag::Transpose01(ag::Concat({x_hat, m}, 2)),
-                               {steps * batch_size, 2 * num_features_});
+                               {steps * batch_size, 2 * num_features()});
   ag::Variable xw_all = cell_.PrecomputeInput(u);  // [T*B, 3H]
   ag::Variable gamma_h_tm = ag::Reshape(ag::Transpose01(gamma_h),
                                         {steps * batch_size, hidden_dim_});
@@ -114,7 +114,7 @@ ag::Variable GruD::StepForward(const train::StepBatch& obs,
                                nn::ForwardContext*) const {
   const int64_t n = static_cast<int64_t>(states.size());
   ELDA_CHECK_EQ(obs.x.shape(0), n);
-  ELDA_CHECK_EQ(obs.x.shape(1), num_features_);
+  ELDA_CHECK_EQ(obs.x.shape(1), num_features());
   Tensor h_prev = Tensor::Empty({n, hidden_dim_});
   std::vector<GruDStreamState*> ss(static_cast<size_t>(n));
   for (int64_t b = 0; b < n; ++b) {

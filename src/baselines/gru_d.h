@@ -54,7 +54,6 @@ class GruD : public train::SequenceModel {
   nn::SweepResult RunSweep(const data::Batch& batch) const;
 
   Rng rng_;
-  int64_t num_features_;
   int64_t hidden_dim_;
   ag::Variable decay_x_w_;  // [C]
   ag::Variable decay_x_b_;  // [C]

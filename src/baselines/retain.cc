@@ -6,7 +6,8 @@ namespace elda {
 namespace baselines {
 
 Retain::Retain(int64_t num_features, int64_t embed_dim, uint64_t seed)
-    : rng_(seed),
+    : train::SequenceModel(num_features),
+      rng_(seed),
       embed_dim_(embed_dim),
       embed_(num_features, embed_dim, /*use_bias=*/true, &rng_),
       alpha_gru_(embed_dim, embed_dim, &rng_),

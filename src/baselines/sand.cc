@@ -73,7 +73,8 @@ std::shared_ptr<const SandConstants> GetSandConstants(int64_t model_dim,
 }  // namespace
 
 Sand::Sand(const Config& config, uint64_t seed)
-    : config_(config),
+    : train::SequenceModel(config.num_features),
+      config_(config),
       rng_(seed),
       embed_(config.num_features, config.model_dim, /*use_bias=*/true, &rng_),
       out_(config.interpolation_factors * config.model_dim, 1, true, &rng_) {

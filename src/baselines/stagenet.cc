@@ -39,7 +39,8 @@ struct StageNetStreamState : nn::StepState {
 
 StageNet::StageNet(int64_t num_features, int64_t hidden_dim,
                    int64_t conv_kernel, int64_t conv_channels, uint64_t seed)
-    : rng_(seed),
+    : train::SequenceModel(num_features),
+      rng_(seed),
       hidden_dim_(hidden_dim),
       conv_kernel_(conv_kernel),
       conv_channels_(conv_channels),

@@ -12,8 +12,8 @@ ag::Variable TimeMeanInput(const data::Batch& batch) {
 }
 
 LogisticRegression::LogisticRegression(int64_t num_features, uint64_t seed)
-    : rng_(seed),
-      num_features_(num_features),
+    : train::SequenceModel(num_features),
+      rng_(seed),
       linear_(num_features, 1, /*use_bias=*/true, &rng_) {
   RegisterSubmodule("linear", &linear_);
 }
@@ -30,7 +30,9 @@ ag::Variable LogisticRegression::Readout(const ag::Variable& rep,
 
 FactorizationMachine::FactorizationMachine(int64_t num_features,
                                            int64_t factor_dim, uint64_t seed)
-    : rng_(seed), num_features_(num_features), factor_dim_(factor_dim) {
+    : train::SequenceModel(num_features),
+      rng_(seed),
+      factor_dim_(factor_dim) {
   w0_ = RegisterParameter("w0", Tensor::Zeros({1}));
   w_ = RegisterParameter("w", Tensor::Zeros({num_features, 1}));
   factors_ = RegisterParameter(
@@ -48,7 +50,7 @@ ag::Variable FactorizationMachine::Readout(const ag::Variable& rep,
   const int64_t batch_size = rep.value().shape(0);
   const ag::Variable& x = rep;  // [B, C]
   // xv_i = v_i * x_i : [B, C, 1] * [C, k] -> [B, C, k].
-  ag::Variable xv = ag::Mul(ag::Reshape(x, {batch_size, num_features_, 1}),
+  ag::Variable xv = ag::Mul(ag::Reshape(x, {batch_size, num_features(), 1}),
                             factors_);
   ag::Variable sum_vec = ag::Sum(xv, /*axis=*/1);            // [B, k]
   ag::Variable sum_sq = ag::Sum(ag::Square(sum_vec), 1);     // [B]
@@ -63,7 +65,9 @@ ag::Variable FactorizationMachine::Readout(const ag::Variable& rep,
 AttentionalFactorizationMachine::AttentionalFactorizationMachine(
     int64_t num_features, int64_t factor_dim, int64_t attention_dim,
     uint64_t seed)
-    : rng_(seed), num_features_(num_features), factor_dim_(factor_dim) {
+    : train::SequenceModel(num_features),
+      rng_(seed),
+      factor_dim_(factor_dim) {
   w0_ = RegisterParameter("w0", Tensor::Zeros({1}));
   w_ = RegisterParameter("w", Tensor::Zeros({num_features, 1}));
   factors_ = RegisterParameter(
@@ -90,7 +94,7 @@ ag::Variable AttentionalFactorizationMachine::EncodeTerminal(
 ag::Variable AttentionalFactorizationMachine::Readout(
     const ag::Variable& rep, nn::ForwardContext*) const {
   const int64_t batch_size = rep.value().shape(0);
-  const int64_t c = num_features_;
+  const int64_t c = num_features();
   const int64_t k = factor_dim_;
   const ag::Variable& x = rep;  // [B, C]
   ag::Variable xv =

@@ -32,13 +32,12 @@ class LogisticRegression : public train::SequenceModel {
                               nn::ForwardContext* ctx) const override;
   ag::Variable Readout(const ag::Variable& rep,
                        nn::ForwardContext* ctx) const override;
-  int64_t encoding_dim() const override { return num_features_; }
+  int64_t encoding_dim() const override { return num_features(); }
   bool has_step_encoding() const override { return false; }
   std::string name() const override { return "LR"; }
 
  private:
   Rng rng_;
-  int64_t num_features_;
   nn::Linear linear_;
 };
 
@@ -52,13 +51,12 @@ class FactorizationMachine : public train::SequenceModel {
                               nn::ForwardContext* ctx) const override;
   ag::Variable Readout(const ag::Variable& rep,
                        nn::ForwardContext* ctx) const override;
-  int64_t encoding_dim() const override { return num_features_; }
+  int64_t encoding_dim() const override { return num_features(); }
   bool has_step_encoding() const override { return false; }
   std::string name() const override { return "FM"; }
 
  protected:
   Rng rng_;
-  int64_t num_features_;
   int64_t factor_dim_;
   ag::Variable w0_;       // [1]
   ag::Variable w_;        // [C, 1]
@@ -75,13 +73,12 @@ class AttentionalFactorizationMachine : public train::SequenceModel {
                               nn::ForwardContext* ctx) const override;
   ag::Variable Readout(const ag::Variable& rep,
                        nn::ForwardContext* ctx) const override;
-  int64_t encoding_dim() const override { return num_features_; }
+  int64_t encoding_dim() const override { return num_features(); }
   bool has_step_encoding() const override { return false; }
   std::string name() const override { return "AFM"; }
 
  private:
   Rng rng_;
-  int64_t num_features_;
   int64_t factor_dim_;
   ag::Variable w0_;
   ag::Variable w_;         // [C, 1]

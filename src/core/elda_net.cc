@@ -81,7 +81,9 @@ EldaNetConfig EldaNetConfig::VariantFFmStar() {
 }
 
 EldaNet::EldaNet(const EldaNetConfig& config)
-    : config_(config), rng_(config.seed) {
+    : train::SequenceModel(config.num_features),
+      config_(config),
+      rng_(config.seed) {
   int64_t temporal_input = config_.num_features;
   if (config_.use_feature_module) {
     const bool bi_variant =

@@ -1,7 +1,6 @@
 #include "core/feature_interaction.h"
 
 #include "nn/init.h"
-#include "tensor/tensor_ops.h"
 
 namespace elda {
 namespace core {
@@ -23,46 +22,20 @@ FeatureInteraction::FeatureInteraction(int64_t num_features,
   p_ = RegisterParameter(
       "p", nn::XavierUniform(2 * embed_dim, compression,
                              {2 * embed_dim, compression}, rng));
-  diag_mask_ = Tensor({num_features, num_features});
-  for (int64_t i = 0; i < num_features; ++i) {
-    diag_mask_.at({i, i}) = -1e9f;
-  }
 }
 
 ag::Variable FeatureInteraction::Forward(const ag::Variable& e,
                                          const nn::ForwardContext* ctx) const {
   const Tensor& ev = e.value();
   ELDA_CHECK_EQ(ev.dim(), 4);
-  const int64_t batch = ev.shape(0);
-  const int64_t steps = ev.shape(1);
   ELDA_CHECK_EQ(ev.shape(2), num_features_);
   ELDA_CHECK_EQ(ev.shape(3), embed_dim_);
-
-  // Collapse (batch, time) so the pairwise work is one batched matmul.
-  ag::Variable e3 =
-      ag::Reshape(e, {batch * steps, num_features_, embed_dim_});
-
-  // u_i = W_i ⊙ e_i, so that u_i . e_j = W_i . (e_i ⊙ e_j) = alpha'_ij - b_i.
-  ag::Variable u = ag::Mul(e3, w_alpha_);  // [BT, C, E]
-  ag::Variable scores =
-      ag::MatMul(u, ag::TransposeLast2(e3));  // [BT, C, C], row i = queries
-  // Per-row bias b_i and diagonal exclusion (j != i in Eq. 5).
-  scores = ag::Add(scores, ag::Reshape(b_alpha_, {num_features_, 1}));
-  scores = ag::Add(scores, ag::Constant(diag_mask_));
-  ag::Variable alpha = ag::Softmax(scores, /*axis=*/-1);  // [BT, C, C]
-  if (ctx != nullptr) {
-    ctx->Capture("feature_attention", alpha.value().Reshape(
-                     {batch, steps, num_features_, num_features_}));
-  }
-
-  // c_i = e_i ⊙ sum_j alpha_ij e_j.
-  ag::Variable weighted = ag::MatMul(alpha, e3);       // [BT, C, E]
-  ag::Variable context = ag::Mul(e3, weighted);        // [BT, C, E]
-
-  // f_i = p^T relu([e_i ; c_i])  (Eq. 6), shared p across features.
-  ag::Variable combined = ag::Concat({e3, context}, /*axis=*/-1);
-  ag::Variable f = ag::MatMul(ag::Relu(combined), p_);  // [BT, C, d]
-  return ag::Reshape(f, {batch, steps, num_features_ * compression_});
+  const bool capture = ctx != nullptr && ctx->capture != nullptr;
+  Tensor alpha;  // [B, T, C, C], written only for a capture sink
+  ag::Variable f = ag::FeatureInteractionTile(e, w_alpha_, b_alpha_, p_,
+                                              capture ? &alpha : nullptr);
+  if (capture) ctx->Capture("feature_attention", alpha);
+  return f;  // [B, T, C*d]
 }
 
 }  // namespace core

@@ -7,15 +7,20 @@
 // interactions of feature i over all j != i into a context c_i, and
 // compresses [e_i ; c_i] into a d-dimensional representation f_i.
 //
-// Implementation note (DESIGN.md "Factored feature-interaction
-// computation"): materialising r for all pairs would need a
-// [B,T,C,C,E] tensor (~400 MB at paper hyper-parameters). We use the exact
-// algebraic refactoring
+// Implementation note (DESIGN.md "Fused feature-interaction tile"):
+// materialising r for all pairs would need a [B,T,C,C,E] tensor (~400 MB
+// at paper hyper-parameters). We use the exact algebraic refactoring
 //     alpha'_ij = W_i . (e_i ⊙ e_j) + b_i = (W_i ⊙ e_i) . e_j
 //     c_i       = sum_j alpha_ij (e_i ⊙ e_j) = e_i ⊙ sum_j alpha_ij e_j
-// so two batched matmuls and a diagonal-masked softmax produce identical
-// results with only a [B,T,C,C] score tensor. Tests verify the equivalence
-// against the naive pairwise reference.
+// and run it as one autograd op, ag::FeatureInteractionTile. Each (b, t)
+// tile computes its [C,C] scores, the diagonal-masked softmax, the context
+// and f in per-thread scratch. The backward keeps only e and the parameters
+// on the tape: a per-tile pass recomputes alpha and writes de plus three
+// slabs, which the existing reduction kernels fold into the parameter
+// gradients. Every float matches the composed op chain this replaced
+// (strict-k fma products, the same softmax row kernels, the composed order
+// of every add); tests/core_test.cc keeps that chain as the memcmp oracle
+// and also checks the naive pairwise reference.
 
 #ifndef ELDA_CORE_FEATURE_INTERACTION_H_
 #define ELDA_CORE_FEATURE_INTERACTION_H_
@@ -55,7 +60,6 @@ class FeatureInteraction : public nn::Module {
   ag::Variable w_alpha_;  // [C, E]  per-feature attention weight W_i
   ag::Variable b_alpha_;  // [C]     per-feature attention bias b_i
   ag::Variable p_;        // [2E, d] shared compression map (Eq. 6)
-  Tensor diag_mask_;      // [C, C] constant: -1e9 on the diagonal
 };
 
 }  // namespace core

@@ -59,8 +59,11 @@ std::future<StepResult> MicroBatcher::Submit(std::shared_ptr<Session> session,
                                              nn::CaptureSink* capture,
                                              Deadline deadline) {
   ELDA_CHECK(session != nullptr);
-  ELDA_CHECK_EQ(obs.x.size(), obs.mask.size());
-  ELDA_CHECK_EQ(obs.x.size(), obs.delta.size());
+  if (!ValidObservation(obs, model_->num_features())) {
+    std::promise<StepResult> invalid;
+    invalid.set_value(FailedResult(StepStatus::kInvalidInput));
+    return invalid.get_future();
+  }
   Request request;
   request.session = std::move(session);
   request.obs = std::move(obs);

@@ -73,11 +73,13 @@ class MicroBatcher {
                bool block_when_full = false);
   ~MicroBatcher();  // drains the queue, then joins the worker
 
-  // Enqueues one observation for `session`. The observation slabs must all
-  // be the model's feature width. Thread-safe. `capture`, when non-null,
-  // receives this request's attention/interpretation surfaces (the request
-  // scores as its own B = 1 call). A request still queued at `deadline`
-  // resolves with kExpired instead of scoring.
+  // Enqueues one observation for `session`. An observation that is not a
+  // well-formed row of the model's width (ValidObservation) resolves
+  // kInvalidInput at once and never reaches the session. Thread-safe.
+  // `capture`, when non-null, receives this request's attention /
+  // interpretation surfaces (the request scores as its own B = 1 call). A
+  // request still queued at `deadline` resolves with kExpired instead of
+  // scoring.
   std::future<StepResult> Submit(std::shared_ptr<Session> session,
                                  Observation obs,
                                  nn::CaptureSink* capture = nullptr,

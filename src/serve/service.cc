@@ -83,11 +83,19 @@ std::future<StepResult> InferenceService::ObserveAsync(
     SessionId id, Observation obs, nn::CaptureSink* capture,
     Deadline deadline) {
   std::shared_ptr<Session> session = table_.Get(id);
+  // Bad client input is refused before it touches the session, its idle
+  // clock included.
+  StepStatus refused = StepStatus::kOk;
   if (session == nullptr) {
+    refused = StepStatus::kUnknownSession;
+  } else if (!ValidObservation(obs, model_->num_features())) {
+    refused = StepStatus::kInvalidInput;
+  }
+  if (refused != StepStatus::kOk) {
     std::promise<StepResult> failed;
     StepResult result;
     result.ok = false;
-    result.status = StepStatus::kUnknownSession;
+    result.status = refused;
     failed.set_value(result);
     return failed.get_future();
   }
@@ -111,8 +119,6 @@ StepResult InferenceService::ObserveInline(
   std::unique_lock<std::mutex> lock(inline_mu_);
   inline_cv_.wait(lock, [this] { return inline_pause_depth_ == 0; });
   const int64_t cols = static_cast<int64_t>(obs.x.size());
-  ELDA_CHECK_EQ(obs.mask.size(), obs.x.size());
-  ELDA_CHECK_EQ(obs.delta.size(), obs.x.size());
   train::StepBatch sb;
   sb.x = Tensor::Empty({1, cols});
   sb.mask = Tensor::Empty({1, cols});

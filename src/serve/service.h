@@ -128,7 +128,9 @@ class InferenceService {
 
   // Scores one new observation for an admitted patient (blocking).
   // `capture`, when non-null, receives this request's attention surfaces
-  // (the caller owns the sink; one per thread).
+  // (the caller owns the sink; one per thread). A malformed observation
+  // (see ValidObservation) resolves kInvalidInput and leaves the session
+  // untouched.
   StepResult Observe(SessionId id, Observation obs,
                      nn::CaptureSink* capture = nullptr);
 

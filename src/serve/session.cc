@@ -1,6 +1,7 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -16,8 +17,23 @@ const char* StepStatusName(StepStatus status) {
     case StepStatus::kUnknownSession: return "unknown-session";
     case StepStatus::kRejected: return "rejected";
     case StepStatus::kExpired: return "expired";
+    case StepStatus::kInvalidInput: return "invalid-input";
   }
   return "unknown";
+}
+
+bool ValidObservation(const Observation& obs, int64_t num_features) {
+  const size_t width = static_cast<size_t>(num_features);
+  if (obs.x.size() != width || obs.mask.size() != width ||
+      obs.delta.size() != width) {
+    return false;
+  }
+  for (size_t c = 0; c < width; ++c) {
+    if (!std::isfinite(obs.x[c])) return false;
+    if (obs.mask[c] != 0.0f && obs.mask[c] != 1.0f) return false;
+    if (!std::isfinite(obs.delta[c]) || obs.delta[c] < 0.0f) return false;
+  }
+  return true;
 }
 
 const char* EvictionPolicyName(EvictionPolicy policy) {

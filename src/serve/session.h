@@ -60,9 +60,16 @@ enum class StepStatus {
   kUnknownSession,  // id never admitted, discharged, or evicted
   kRejected,        // bounded queue full and the batcher rejects overload
   kExpired,         // request's deadline passed while it sat in the queue
+  kInvalidInput,    // malformed observation; see ValidObservation
 };
 
 const char* StepStatusName(StepStatus status);
+
+// True when `obs` is a well-formed row for a model reading `num_features`
+// features: all three slabs that wide, x finite, mask exactly 0 or 1, delta
+// finite and >= 0. The serving front doors turn anything else away with
+// kInvalidInput before it can reach a session.
+bool ValidObservation(const Observation& obs, int64_t num_features);
 
 // Outcome of scoring one observation.
 struct StepResult {

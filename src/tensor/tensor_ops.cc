@@ -1240,6 +1240,318 @@ Tensor LstmGates(const Tensor& xw, const Tensor& hu, const Tensor& bias,
   return packed;
 }
 
+// -- Feature-interaction tile --------------------------------------------------
+//
+// Per (b, t) tile these kernels replay the composed chain's float sequence
+// element for element: every product is a strict-k std::fma chain from +0
+// (GemmReference), every elementwise step keeps the composed operand order,
+// and rows go through the same SoftmaxRow / SoftmaxGradRow. The products
+// keep blocks of independent chains in registers so they vectorize and
+// overlap, while each output's own chain still steps through k in ascending
+// order. Tiles share nothing, so any partition over threads is bitwise
+// identical.
+
+namespace {
+
+constexpr float kDiagMask = -1e9f;
+
+struct TileShape {
+  int64_t n;  // tiles: the product of e's leading dims
+  int64_t c;  // features
+  int64_t e;  // embedding width
+  int64_t d;  // compression
+};
+
+TileShape CheckTileShapes(const Tensor& e, const Tensor& w, const Tensor& b,
+                          const Tensor& p) {
+  ELDA_CHECK_GE(e.dim(), 3);
+  TileShape s;
+  s.c = e.shape(-2);
+  s.e = e.shape(-1);
+  s.n = e.size() / std::max<int64_t>(s.c * s.e, 1);
+  ELDA_CHECK(w.shape() == (std::vector<int64_t>{s.c, s.e}))
+      << ShapeToString(w.shape());
+  ELDA_CHECK(b.shape() == (std::vector<int64_t>{s.c}))
+      << ShapeToString(b.shape());
+  ELDA_CHECK(p.dim() == 2 && p.shape(0) == 2 * s.e)
+      << ShapeToString(p.shape());
+  s.d = p.shape(1);
+  return s;
+}
+
+// e's leading dims followed by `tail`.
+std::vector<int64_t> TileOutShape(const Tensor& e,
+                                  std::initializer_list<int64_t> tail) {
+  std::vector<int64_t> shape(e.shape().begin(), e.shape().end() - 2);
+  shape.insert(shape.end(), tail);
+  return shape;
+}
+
+// A strided matrix operand: element (r, p) sits at data[r * rs + p * ps].
+struct Operand {
+  const float* data;
+  int64_t rs;
+  int64_t ps;
+};
+
+// kRows x kWidth outputs kept in registers across the whole p loop:
+// out[r * ldo + j] = sum_p a(r, p) * b[p * ldb + j], each one strict-p
+// std::fma chain from +0 (GemmReference).
+template <int64_t kRows, int64_t kWidth>
+void ProductBlock(Operand a, const float* b, int64_t ldb, int64_t k,
+                  float* out, int64_t ldo) {
+  float acc[kRows][kWidth] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    const float* row = b + p * ldb;
+    for (int64_t r = 0; r < kRows; ++r) {
+      const float av = a.data[r * a.rs + p * a.ps];
+      for (int64_t l = 0; l < kWidth; ++l) {
+        acc[r][l] = std::fma(av, row[l], acc[r][l]);
+      }
+    }
+  }
+  for (int64_t r = 0; r < kRows; ++r) {
+    std::memcpy(out + r * ldo, acc[r], sizeof(acc[r]));
+  }
+}
+
+template <int64_t kRows>
+void ProductRows(Operand a, const float* b, int64_t ldb, int64_t k, int64_t n,
+                 float* out, int64_t ldo) {
+  int64_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    ProductBlock<kRows, 32>(a, b + j, ldb, k, out + j, ldo);
+  }
+  if (j + 24 <= n) {
+    ProductBlock<kRows, 24>(a, b + j, ldb, k, out + j, ldo);
+    j += 24;
+  } else if (j + 16 <= n) {
+    ProductBlock<kRows, 16>(a, b + j, ldb, k, out + j, ldo);
+    j += 16;
+  }
+  if (j + 8 <= n) {
+    ProductBlock<kRows, 8>(a, b + j, ldb, k, out + j, ldo);
+    j += 8;
+  }
+  for (; j < n; ++j) {
+    for (int64_t r = 0; r < kRows; ++r) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc = std::fma(a.data[r * a.rs + p * a.ps], b[p * ldb + j], acc);
+      }
+      out[r * ldo + j] = acc;
+    }
+  }
+}
+
+// out[r * ldo + j] = sum_{p < k} a(r, p) * b[p * ldb + j] for r < rows and
+// j < n. Two rows share each pass over b, so their chains interleave.
+void Product(Operand a, int64_t rows, const float* b, int64_t ldb, int64_t k,
+             int64_t n, float* out, int64_t ldo) {
+  int64_t r = 0;
+  for (; r + 2 <= rows; r += 2) {
+    ProductRows<2>({a.data + r * a.rs, a.rs, a.ps}, b, ldb, k, n,
+                   out + r * ldo, ldo);
+  }
+  if (r < rows) {
+    ProductRows<1>({a.data + r * a.rs, a.rs, a.ps}, b, ldb, k, n,
+                   out + r * ldo, ldo);
+  }
+}
+
+// Per-thread scratch for one tile. Feature-indexed rows are padded to
+// cp = C rounded up to 8 lanes; the pad lanes of eᵀ and rᵀ stay zero, so
+// whole 8-lane blocks can run over them (their outputs are never read).
+struct TileScratch {
+  TileScratch(int64_t c, int64_t e, int64_t d)
+      : cp((c + 7) & ~int64_t{7}),
+        buf(3 * e * cp + c * cp + 2 * c * e + d * cp),
+        et(buf.data()),
+        rt(et + e * cp),
+        alpha(rt + 2 * e * cp),
+        u(alpha + c * cp),
+        wt(u + c * e),
+        ft(wt + c * e) {
+    std::memset(buf.data(), 0, static_cast<size_t>(3 * e * cp) * sizeof(float));
+  }
+  const int64_t cp;
+  mem::ScopedBuffer buf;
+  float* et;     // [E, cp] eᵀ
+  float* rt;     // [2E, cp] relu([e ; c])ᵀ
+  float* alpha;  // [C, cp] scores, then α in place
+  float* u;      // [C, E] W ⊙ e
+  float* wt;     // [C, E] α e
+  float* ft;     // [D, cp] fᵀ
+};
+
+// The forward chain of one tile ev [C, E] up to relu([e ; e ⊙ α e]), left
+// transposed in s->rt (and row-major [C, 2E] in `r` when non-null), with
+// eᵀ, u, α and α e in `s`.
+void TileForward(const float* ev, const float* w, const float* b, int64_t C,
+                 int64_t E, TileScratch* s, float* r) {
+  const int64_t cp = s->cp;
+  for (int64_t i = 0; i < C * E; ++i) s->u[i] = ev[i] * w[i];
+  for (int64_t j = 0; j < C; ++j) {
+    for (int64_t k = 0; k < E; ++k) s->et[k * cp + j] = ev[j * E + k];
+  }
+  Product({s->u, E, 1}, C, s->et, cp, E, cp, s->alpha, cp);
+  for (int64_t i = 0; i < C; ++i) {
+    // Bias, then the diagonal exclusion: the composed graph's two broadcast
+    // adds, +0 off the diagonal included.
+    float* srow = s->alpha + i * cp;
+    const float bi = b[i];
+    const float diag = (srow[i] + bi) + kDiagMask;
+    for (int64_t j = 0; j < C; ++j) srow[j] = (srow[j] + bi) + 0.0f;
+    srow[i] = diag;
+    simd::SoftmaxRow(srow, srow, C);
+  }
+  Product({s->alpha, cp, 1}, C, ev, E, C, E, s->wt, E);
+  for (int64_t i = 0; i < C; ++i) {
+    const float* erow = ev + i * E;
+    const float* wrow = s->wt + i * E;
+    for (int64_t k = 0; k < E; ++k) {
+      const float context = erow[k] * wrow[k];
+      s->rt[k * cp + i] = erow[k] > 0.0f ? erow[k] : 0.0f;
+      s->rt[(E + k) * cp + i] = context > 0.0f ? context : 0.0f;
+    }
+  }
+  if (r != nullptr) {
+    for (int64_t i = 0; i < C; ++i) {
+      for (int64_t k = 0; k < 2 * E; ++k) r[i * 2 * E + k] = s->rt[k * cp + i];
+    }
+  }
+}
+
+}  // namespace
+
+Tensor FeatureInteractionTile(const Tensor& e, const Tensor& w,
+                              const Tensor& b, const Tensor& p,
+                              Tensor* alpha_out) {
+  ELDA_PROF_SCOPE("FeatureInteractionTile");
+  const TileShape ts = CheckTileShapes(e, w, b, p);
+  const int64_t C = ts.c, E = ts.e, D = ts.d, K = 2 * ts.e;
+  // The composed chain's four [N,C,C]- and eight [N,C,E]-sized temporaries.
+  prof::RecordFusion(10, ts.n * (4 * C * C + 8 * C * E) * kFloatBytes);
+  Tensor out = Tensor::Empty(TileOutShape(e, {C * D}));
+  float* pa = nullptr;
+  if (alpha_out != nullptr) {
+    *alpha_out = Tensor::Empty(TileOutShape(e, {C, C}));
+    pa = alpha_out->data();
+  }
+  const float* pe = e.data();
+  const float* pw = w.data();
+  const float* pb = b.data();
+  const float* pp = p.data();
+  float* po = out.data();
+  par::ParallelFor(
+      0, ts.n, par::BalancedGrain(ts.n, 1), [&](int64_t n0, int64_t n1) {
+        TileScratch s(C, E, D);
+        for (int64_t n = n0; n < n1; ++n) {
+          TileForward(pe + n * C * E, pw, pb, C, E, &s, nullptr);
+          if (pa != nullptr) {
+            for (int64_t i = 0; i < C; ++i) {
+              std::memcpy(pa + (n * C + i) * C, s.alpha + i * s.cp,
+                          static_cast<size_t>(C) * sizeof(float));
+            }
+          }
+          // fᵀ = pᵀ relu([e ; c])ᵀ: each f[i, q] is still the strict-k chain
+          // of relu row i against p column q.
+          Product({pp, 1, D}, D, s.rt, s.cp, K, s.cp, s.ft, s.cp);
+          float* f = po + n * C * D;
+          for (int64_t i = 0; i < C; ++i) {
+            for (int64_t q = 0; q < D; ++q) f[i * D + q] = s.ft[q * s.cp + i];
+          }
+        }
+      });
+  return out;
+}
+
+FeatureInteractionTileGrads FeatureInteractionTileBackward(
+    const Tensor& e, const Tensor& w, const Tensor& b, const Tensor& p,
+    const Tensor& g, bool want_de) {
+  ELDA_PROF_SCOPE("FeatureInteractionTileGrad");
+  const TileShape ts = CheckTileShapes(e, w, b, p);
+  const int64_t N = ts.n, C = ts.c, E = ts.e, D = ts.d, K = 2 * ts.e;
+  ELDA_CHECK_EQ(g.size(), N * C * D);
+  FeatureInteractionTileGrads grads;
+  if (want_de) grads.de = Tensor::Empty(e.shape());
+  Tensor du_e = Tensor::Empty({N, C, E});
+  Tensor dscores = Tensor::Empty({N, C, C});
+  Tensor relu = Tensor::Empty({N, C, K});
+  const Tensor pt = Transpose(p);  // [D, 2E]: rows of d relu run contiguously
+  const float* pe = e.data();
+  const float* pw = w.data();
+  const float* pb = b.data();
+  const float* ppt = pt.data();
+  const float* pg = g.data();
+  float* pde = want_de ? grads.de.data() : nullptr;
+  float* pdue = du_e.data();
+  float* pds = dscores.data();
+  float* pr = relu.data();
+  par::ParallelFor(0, N, par::BalancedGrain(N, 1), [&](int64_t n0, int64_t n1) {
+    TileScratch s(C, E, D);
+    const int64_t cp = s.cp;
+    mem::ScopedBuffer grad_buf(C * K + C * cp + 4 * C * E);
+    float* dr = grad_buf.data();  // [C, 2E] d relu([e ; c])
+    float* da = dr + C * K;       // [C, cp] dα
+    float* dwt = da + C * cp;     // [C, E] d(α e)
+    float* t1 = dwt + C * E;      // [C, E]
+    float* t2 = t1 + C * E;       // [C, E]
+    float* du = t2 + C * E;       // [C, E]
+    for (int64_t n = n0; n < n1; ++n) {
+      const float* ev = pe + n * C * E;
+      float* r = pr + n * C * K;
+      float* ds = pds + n * C * C;
+      float* de = pde != nullptr ? pde + n * C * E : nullptr;
+      TileForward(ev, pw, pb, C, E, &s, r);
+      // Backward through f = r p, the relu, the concat and c = e ⊙ (α e),
+      // then dα and the softmax. de starts as its concat slice plus the
+      // context term: the first two of e's five uses.
+      Product({pg + n * C * D, D, 1}, C, ppt, K, D, K, dr, K);
+      for (int64_t i = 0; i < C; ++i) {
+        const float* drow = dr + i * K;
+        const float* rrow = r + i * K;
+        const float* erow = ev + i * E;
+        const float* wrow = s.wt + i * E;
+        for (int64_t k = 0; k < E; ++k) {
+          const float dctx = drow[E + k] * (rrow[E + k] > 0.0f ? 1.0f : 0.0f);
+          dwt[i * E + k] = dctx * erow[k];
+          if (de != nullptr) {
+            de[i * E + k] =
+                drow[k] * (rrow[k] > 0.0f ? 1.0f : 0.0f) + dctx * wrow[k];
+          }
+        }
+      }
+      Product({dwt, E, 1}, C, s.et, cp, E, cp, da, cp);
+      for (int64_t i = 0; i < C; ++i) {
+        simd::SoftmaxGradRow(da + i * cp, s.alpha + i * cp, ds + i * C, C);
+      }
+      // e's third and fourth uses: α e's right operand, then the scores' eᵀ.
+      if (de != nullptr) {
+        Product({s.alpha, 1, cp}, C, dwt, E, C, E, t1, E);
+        Product({ds, 1, C}, C, s.u, E, C, E, t2, E);
+        for (int64_t i = 0; i < C * E; ++i) de[i] = (de[i] + t1[i]) + t2[i];
+      }
+      // du = dscores e: the fifth use (u = W ⊙ e) and the dW slab.
+      Product({ds, C, 1}, C, ev, E, C, E, du, E);
+      float* due = pdue + n * C * E;
+      for (int64_t i = 0; i < C * E; ++i) due[i] = du[i] * ev[i];
+      if (de != nullptr) {
+        for (int64_t i = 0; i < C * E; ++i) de[i] = de[i] + du[i] * pw[i];
+      }
+    }
+  });
+  // Phase 2: the composed tape's own reductions over the same slabs. dp is
+  // formed as (gᵀ relu)ᵀ rather than reluᵀ g: every element is the same
+  // row-ascending fma chain (an fma's product is commutative), but this
+  // orientation streams the slab once instead of once per output row.
+  grads.dw = ReduceToShape(du_e, {C, E});
+  grads.db = ReduceToShape(dscores, {C, 1}).Reshape({C});
+  grads.dp = Transpose(
+      MatMul(g.Reshape({N * C, D}), relu.Reshape({N * C, K}), true, false));
+  return grads;
+}
+
 float SumAll(const Tensor& a) {
   ELDA_PROF_SCOPE("SumAll");
   // Deliberately serial: a chunked parallel sum would reorder the float

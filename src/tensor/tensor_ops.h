@@ -151,6 +151,40 @@ Tensor LstmGates(const Tensor& xw, const Tensor& hu, const Tensor& bias,
                  const Tensor& c, Tensor* i_out, Tensor* f_out, Tensor* g_out,
                  Tensor* o_out, Tensor* tc_out);
 
+// -- Feature-interaction tile (paper Eqs. 5-6) -------------------------------------
+//
+// The whole feature-level interaction chain of core::FeatureInteraction,
+// computed one (b, t) tile at a time with every intermediate in per-thread
+// scratch:
+//   u = W ⊙ e;  s = u eᵀ + b_i, then + (-1e9) on the diagonal;
+//   α = row softmax(s);  c = e ⊙ (α e);  f = relu([e ; c]) p.
+// Shapes: e [..., C, E], w [C, E], b [C], p [2E, D] -> f [..., C*D].
+// Every float equals the one the composed op chain (Mul, TransposeLast2,
+// MatMul, Add, Add, Softmax, MatMul, Mul, Concat, Relu, MatMul) produces:
+// each product is a strict-k std::fma chain as in GemmReference, the bias
+// and diagonal adds stay two separate adds, and rows go through
+// simd::SoftmaxRow. `alpha_out`, when non-null, receives α as [..., C, C].
+Tensor FeatureInteractionTile(const Tensor& e, const Tensor& w,
+                              const Tensor& b, const Tensor& p,
+                              Tensor* alpha_out);
+
+// Gradients of FeatureInteractionTile for g = dL/df ([..., C*D]), in two
+// phases. A parallel per-tile pass recomputes α and writes de (only when
+// `want_de`), summing the five uses of e in the composed tape's order. It
+// also fills three transient slabs: du ⊙ e [N, C, E], dscores [N, C, C] and
+// relu([e ; c]) [N, C, 2E]. ReduceToShape and MatMul(..., true, false) then
+// reduce the slabs into dw, db and dp, so each parameter gradient keeps the
+// composed chain's summation order.
+struct FeatureInteractionTileGrads {
+  Tensor de;  // [..., C, E]; undefined unless want_de
+  Tensor dw;  // [C, E]
+  Tensor db;  // [C]
+  Tensor dp;  // [2E, D]
+};
+FeatureInteractionTileGrads FeatureInteractionTileBackward(
+    const Tensor& e, const Tensor& w, const Tensor& b, const Tensor& p,
+    const Tensor& g, bool want_de);
+
 // -- Reductions --------------------------------------------------------------------
 
 float SumAll(const Tensor& a);

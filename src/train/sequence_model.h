@@ -40,6 +40,12 @@ struct Encoding {
 
 class SequenceModel : public nn::Module {
  public:
+  // `num_features` is the width C of every observation row the model reads
+  // (batch.x's last axis, StepBatch rows).
+  explicit SequenceModel(int64_t num_features) : num_features_(num_features) {}
+
+  int64_t num_features() const { return num_features_; }
+
   // -- Encoder / readout decomposition --------------------------------------
   //
   // Every model is a sequence *encoder* (batch -> representation) plus a
@@ -155,6 +161,9 @@ class SequenceModel : public nn::Module {
   // Fewest observations before the model can score a window at all (e.g.
   // StageNet's conv kernel, attention modules needing two steps).
   virtual int64_t min_steps_to_score() const { return 1; }
+
+ private:
+  int64_t num_features_;
 };
 
 }  // namespace train

@@ -22,8 +22,10 @@ namespace {
 class TinyGruModel : public SequenceModel {
  public:
   TinyGruModel(int64_t features, int64_t hidden, uint64_t seed)
-      : rng_(seed), gru_(features, hidden, &rng_), head_(hidden, 1, true,
-                                                         &rng_) {
+      : SequenceModel(features),
+        rng_(seed),
+        gru_(features, hidden, &rng_),
+        head_(hidden, 1, true, &rng_) {
     RegisterSubmodule("gru", &gru_);
     RegisterSubmodule("head", &head_);
   }

@@ -1,5 +1,7 @@
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "autograd/gradcheck.h"
 #include "core/elda.h"
@@ -9,7 +11,9 @@
 #include "core/time_interaction.h"
 #include "gtest/gtest.h"
 #include "optim/optimizer.h"
+#include "par/par.h"
 #include "synth/simulator.h"
+#include "tensor/simd_math.h"
 #include "tensor/tensor_ops.h"
 
 namespace elda {
@@ -282,6 +286,113 @@ TEST(FeatureInteractionTest, FactoredMatchesNaiveReference) {
   // Attention matches too (diagonal is zero in both).
   EXPECT_TRUE(
       AllClose(sink.Get("feature_attention"), alpha_ref, 1e-5f, 1e-4f));
+}
+
+// The composed Eq. 5-6 op chain that ag::FeatureInteractionTile replaced,
+// kept verbatim as the tile's bitwise oracle.
+ag::Variable ComposedFeatureInteraction(const ag::Variable& e,
+                                        const ag::Variable& w_alpha,
+                                        const ag::Variable& b_alpha,
+                                        const ag::Variable& p,
+                                        Tensor* alpha_out) {
+  const Tensor& ev = e.value();
+  const int64_t batch = ev.shape(0), steps = ev.shape(1), C = ev.shape(2),
+                E = ev.shape(3);
+  const int64_t D = p.value().shape(1);
+  Tensor diag_mask({C, C});
+  for (int64_t i = 0; i < C; ++i) diag_mask.at({i, i}) = -1e9f;
+  ag::Variable e3 = ag::Reshape(e, {batch * steps, C, E});
+  ag::Variable u = ag::Mul(e3, w_alpha);
+  ag::Variable scores = ag::MatMul(u, ag::TransposeLast2(e3));
+  scores = ag::Add(scores, ag::Reshape(b_alpha, {C, 1}));
+  scores = ag::Add(scores, ag::Constant(diag_mask));
+  ag::Variable alpha = ag::Softmax(scores, /*axis=*/-1);
+  *alpha_out = alpha.value().Reshape({batch, steps, C, C});
+  ag::Variable weighted = ag::MatMul(alpha, e3);
+  ag::Variable context = ag::Mul(e3, weighted);
+  ag::Variable combined = ag::Concat({e3, context}, /*axis=*/-1);
+  ag::Variable f = ag::MatMul(ag::Relu(combined), p);
+  return ag::Reshape(f, {batch, steps, C * D});
+}
+
+using FeatureInteractionFn = ag::Variable (*)(const ag::Variable&,
+                                              const ag::Variable&,
+                                              const ag::Variable&,
+                                              const ag::Variable&, Tensor*);
+
+struct FeatureInteractionRun {
+  Tensor f, alpha, de, dw, db, dp;
+};
+
+// One forward of `fn` on fresh leaves, then a backward of sum(f ⊙ cotangent).
+FeatureInteractionRun RunFeatureInteraction(FeatureInteractionFn fn,
+                                            const Tensor& e, const Tensor& w,
+                                            const Tensor& b, const Tensor& p,
+                                            const Tensor& cotangent) {
+  ag::Variable ev(e, true), wv(w, true), bv(b, true), pv(p, true);
+  FeatureInteractionRun run;
+  ag::Variable f = fn(ev, wv, bv, pv, &run.alpha);
+  run.f = f.value();
+  ag::SumAll(ag::Mul(f, ag::Constant(cotangent))).Backward();
+  run.de = ev.grad();
+  run.dw = wv.grad();
+  run.db = bv.grad();
+  run.dp = pv.grad();
+  return run;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+TEST(FeatureInteractionTest, TileMatchesComposedChainBitwise) {
+  struct Dims {
+    int64_t c, e, d;
+  };
+  const Dims dims[] = {{5, 6, 3}, {37, 24, 4}};
+  // B x T = 1, 7 and 3072 tiles.
+  const std::vector<int64_t> grids[] = {{1, 1}, {1, 7}, {64, 48}};
+  for (const Dims& dim : dims) {
+    Rng rng(40);
+    FeatureInteraction module(dim.c, dim.e, dim.d, &rng);
+    Tensor w, p;
+    for (const auto& [name, var] : module.NamedParameters()) {
+      if (name == "w_alpha") w = var.value();
+      if (name == "p") p = var.value();
+    }
+    // A non-zero bias so the bias add is exercised (the module inits zeros).
+    const Tensor b = Tensor::Normal({dim.c}, 0.0f, 0.5f, &rng);
+    for (const std::vector<int64_t>& grid : grids) {
+      Rng data_rng(41 + static_cast<uint64_t>(grid[1]));
+      const Tensor e = Tensor::Normal({grid[0], grid[1], dim.c, dim.e}, 0.0f,
+                                      0.7f, &data_rng);
+      const Tensor cotangent = Tensor::Normal(
+          {grid[0], grid[1], dim.c * dim.d}, 0.0f, 1.0f, &data_rng);
+      for (const bool scalar : {false, true}) {
+        simd::ForceScalar(scalar);
+        const FeatureInteractionRun want = RunFeatureInteraction(
+            ComposedFeatureInteraction, e, w, b, p, cotangent);
+        for (const int64_t threads : {1, 2, 4}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "C=" << dim.c << " E=" << dim.e << " d=" << dim.d
+                       << " tiles=" << grid[0] * grid[1] << " threads="
+                       << threads << (scalar ? " scalar" : " simd"));
+          par::ScopedNumThreads scoped(threads);
+          const FeatureInteractionRun got = RunFeatureInteraction(
+              ag::FeatureInteractionTile, e, w, b, p, cotangent);
+          EXPECT_TRUE(SameBits(got.f, want.f)) << "output";
+          EXPECT_TRUE(SameBits(got.alpha, want.alpha)) << "alpha";
+          EXPECT_TRUE(SameBits(got.de, want.de)) << "de";
+          EXPECT_TRUE(SameBits(got.dw, want.dw)) << "dW_alpha";
+          EXPECT_TRUE(SameBits(got.db, want.db)) << "db_alpha";
+          EXPECT_TRUE(SameBits(got.dp, want.dp)) << "dp";
+        }
+      }
+      simd::ForceScalar(false);
+    }
+  }
 }
 
 TEST(FeatureInteractionTest, AttentionRowsSumToOneOffDiagonal) {

@@ -578,7 +578,8 @@ TEST(RecurrenceTest, PerModelTapeBudgetsHold) {
   // Pinned ceilings on tape nodes per taped forward (B=8, T=6, C=5). These
   // are regression tripwires: a change that quietly reintroduces per-step
   // graph building blows the budget immediately. Measured values sit
-  // 10-25% below each pin.
+  // 10-25% below each pin; the feature-module models' pins sit below what
+  // the composed Eq. 5-6 chain (13 more nodes than the fused tile) costs.
   const struct {
     const char* name;
     int64_t budget;
@@ -589,9 +590,9 @@ TEST(RecurrenceTest, PerModelTapeBudgetsHold) {
       {"Dipole-l", 62},      {"Dipole-g", 64},
       {"Dipole-c", 68},      {"StageNet", 55},
       {"GRU-D", 60},         {"ConCare", 115},
-      {"ELDA-Net-T", 38},    {"ELDA-Net-Fbi", 50},
-      {"ELDA-Net-Ffm", 44},  {"ELDA-Net", 65},
-      {"ELDA-Net-Fbi*", 52}, {"ELDA-Net-Ffm*", 46},
+      {"ELDA-Net-T", 38},    {"ELDA-Net-Fbi", 32},
+      {"ELDA-Net-Ffm", 26},  {"ELDA-Net", 47},
+      {"ELDA-Net-Fbi*", 35}, {"ELDA-Net-Ffm*", 28},
   };
   const int64_t features = 5;
   const auto prepared = RandomSamples(8, 6, features, 93);

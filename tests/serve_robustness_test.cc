@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -814,8 +815,33 @@ TEST(ServeRobustnessTest, EvictionChurnUnderConcurrentScoring) {
 
 // -- Multi-worker sharding ---------------------------------------------------
 
-// N workers score exactly what 1 worker scores: session-affine sharding
-// keeps per-session FIFO, and row independence keeps every value bitwise.
+// Client rows the service must refuse with kInvalidInput: too wide, slab
+// sizes that disagree, non-finite x, a mask outside {0, 1}, a negative or
+// NaN delta, and an empty row.
+std::vector<serve::Observation> MalformedObservations() {
+  serve::Observation good;
+  good.x.assign(kFeatures, 0.5f);
+  good.mask.assign(kFeatures, 1.0f);
+  good.delta.assign(kFeatures, 0.0f);
+  std::vector<serve::Observation> bad(8, good);
+  bad[0].x.push_back(0.5f);
+  bad[0].mask.push_back(1.0f);
+  bad[0].delta.push_back(0.0f);
+  bad[1].mask.pop_back();
+  bad[2].x[1] = std::numeric_limits<float>::quiet_NaN();
+  bad[3].x[2] = std::numeric_limits<float>::infinity();
+  bad[4].mask[3] = 0.5f;
+  bad[5].delta[4] = -1.0f;
+  bad[6].delta[0] = std::numeric_limits<float>::quiet_NaN();
+  bad[7] = serve::Observation();
+  return bad;
+}
+
+// N workers score exactly what 1 worker scores, and what a serial sync
+// service scores: session-affine sharding keeps per-session FIFO, and row
+// independence keeps every value bitwise. A hostile client racing the
+// honest ones, with malformed rows against its own session and theirs, is
+// turned away at submit and changes no session.
 TEST(ServeRobustnessTest, FourWorkersMatchOneWorkerBitwise) {
   const int64_t T = 6;
   const int64_t num_sessions = 8;
@@ -824,6 +850,7 @@ TEST(ServeRobustnessTest, FourWorkersMatchOneWorkerBitwise) {
   for (int64_t s = 0; s < num_sessions; ++s) {
     patients.push_back(RandomPatient(T, 900 + static_cast<uint64_t>(s)));
   }
+  const std::vector<serve::Observation> malformed = MalformedObservations();
   auto run = [&](int64_t workers) {
     serve::ServeConfig config;
     config.async = true;
@@ -835,6 +862,22 @@ TEST(ServeRobustnessTest, FourWorkersMatchOneWorkerBitwise) {
     for (int64_t s = 0; s < num_sessions; ++s) {
       ids.push_back(service.Admit());
     }
+    const serve::SessionId hostile_id = service.Admit();
+    const std::shared_ptr<serve::Session> hostile_session =
+        service.sessions().Get(hostile_id);
+    const int64_t admitted_tick = hostile_session->last_observed.load();
+    std::thread hostile([&] {
+      for (int64_t round = 0; round < T; ++round) {
+        for (const serve::Observation& bad : malformed) {
+          for (const serve::SessionId target :
+               {hostile_id, ids[static_cast<size_t>(round % num_sessions)]}) {
+            const serve::StepResult r = service.ObserveAsync(target, bad).get();
+            EXPECT_FALSE(r.ok);
+            EXPECT_EQ(r.status, serve::StepStatus::kInvalidInput);
+          }
+        }
+      }
+    });
     std::vector<std::vector<float>> risks(
         num_sessions, std::vector<float>(static_cast<size_t>(T)));
     // Submit all T observations per session up front (per-session order),
@@ -856,17 +899,67 @@ TEST(ServeRobustnessTest, FourWorkersMatchOneWorkerBitwise) {
         risks[static_cast<size_t>(s)][static_cast<size_t>(t)] = r.risk;
       }
     }
+    hostile.join();
+    EXPECT_EQ(hostile_session->observations.load(), 0);
+    EXPECT_EQ(hostile_session->last_observed.load(), admitted_tick);
+    EXPECT_EQ(service.batcher_stats().observations, num_sessions * T);
     return risks;
   };
   const auto one = run(1);
   const auto four = run(4);
   for (int64_t s = 0; s < num_sessions; ++s) {
+    const std::vector<float> serial =
+        UninterruptedRisks(model.get(), patients[static_cast<size_t>(s)], T,
+                           /*window_capacity=*/T);
     for (int64_t t = 0; t < T; ++t) {
+      ExpectSameRisk(one[static_cast<size_t>(s)][static_cast<size_t>(t)],
+                     serial[static_cast<size_t>(t)], "1-worker vs serial", t);
       ExpectSameRisk(four[static_cast<size_t>(s)][static_cast<size_t>(t)],
                      one[static_cast<size_t>(s)][static_cast<size_t>(t)],
                      "4-worker vs 1-worker", t);
     }
   }
+}
+
+// The inline (sync) service and a bare MicroBatcher refuse the same rows:
+// each malformed request resolves kInvalidInput, and the session's stream
+// stays bitwise what it is without them.
+TEST(ServeRobustnessTest, InvalidInputRejectedInlineAndAtTheBatcher) {
+  const int64_t T = 4;
+  auto model = baselines::MakeModel("GRU", kFeatures, /*seed=*/3);
+  const data::Batch patient = RandomPatient(T, 950);
+  const std::vector<serve::Observation> malformed = MalformedObservations();
+  serve::ServeConfig config;
+  config.async = false;
+  config.window_capacity = T;
+  serve::InferenceService service(model.get(), config);
+  const serve::SessionId id = service.Admit();
+  std::vector<float> risks;
+  for (int64_t t = 0; t < T; ++t) {
+    for (const serve::Observation& bad : malformed) {
+      const serve::StepResult r = service.Observe(id, bad);
+      EXPECT_FALSE(r.ok);
+      EXPECT_EQ(r.status, serve::StepStatus::kInvalidInput);
+    }
+    risks.push_back(service.Observe(id, RowObservation(patient, t)).risk);
+  }
+  const std::vector<float> serial =
+      UninterruptedRisks(model.get(), patient, T, T);
+  for (int64_t t = 0; t < T; ++t) {
+    ExpectSameRisk(risks[static_cast<size_t>(t)],
+                   serial[static_cast<size_t>(t)], "with hostile rows", t);
+  }
+
+  train::InferenceOptions options;
+  serve::MicroBatcher batcher(model.get(), options, /*max_delay_us=*/0);
+  auto session = std::make_shared<serve::Session>();
+  session->state = model->MakeStepState(T);
+  for (const serve::Observation& bad : malformed) {
+    const serve::StepResult r = batcher.Submit(session, bad).get();
+    EXPECT_EQ(r.status, serve::StepStatus::kInvalidInput);
+  }
+  EXPECT_EQ(session->state->steps_seen, 0);
+  EXPECT_EQ(batcher.stats().observations, 0);
 }
 
 // -- Fault plans -------------------------------------------------------------

@@ -389,7 +389,8 @@ TEST(ShardedLoaderTest, QuarantinedRecordIsSkippedNotFatal) {
 class TinyGruModel : public train::SequenceModel {
  public:
   TinyGruModel(int64_t features, int64_t hidden, uint64_t seed)
-      : rng_(seed),
+      : train::SequenceModel(features),
+        rng_(seed),
         gru_(features, hidden, &rng_),
         head_(hidden, 1, true, &rng_) {
     RegisterSubmodule("gru", &gru_);
