@@ -354,6 +354,40 @@ BENCHMARK(BM_EldaNetInference)
     ->Args({256, 0})
     ->Args({256, 1});
 
+// Per-step (decompensation) encodings of a B=64, T=48 batch under
+// ag::NoGradScope. The mask is cohort-shaped: each row observes ~70% of
+// its features at admission, first-observes ~20% at a random later step
+// (a V_m flip) and never observes the rest. arg0 = 0 runs ELDA-Net's packed
+// segment sweep, 1 the base-class prefix replay it is bitwise equal to.
+void BM_EldaNetEncodeSteps(benchmark::State& state) {
+  const int64_t B = 64, T = 48, C = 37;
+  const bool replay = state.range(0) != 0;
+  core::EldaNet net(core::EldaNetConfig::Full());
+  Rng rng(20);
+  data::Batch batch;
+  batch.x = RandomTensor({B, T, C}, 21);
+  batch.mask = Tensor::Zeros({B, T, C});
+  batch.delta = Tensor::Zeros({B, T, C});
+  for (int64_t b = 0; b < B; ++b) {
+    for (int64_t c = 0; c < C; ++c) {
+      const double u = rng.Uniform();
+      const int64_t first =
+          u < 0.7 ? 0 : u < 0.9 ? 1 + rng.UniformInt(T - 1) : T;
+      for (int64_t t = first; t < T; ++t) {
+        batch.mask.at({b, t, c}) = t == first || rng.Bernoulli(0.3);
+      }
+    }
+  }
+  ag::NoGradScope no_grad;
+  nn::ForwardContext ctx;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        replay ? net.train::SequenceModel::EncodeSteps(batch, &ctx)
+               : net.EncodeSteps(batch, &ctx));
+  }
+}
+BENCHMARK(BM_EldaNetEncodeSteps)->Arg(0)->Arg(1);
+
 // Collects every finished run alongside the normal console output, then
 // writes BENCH_micro.json. The name encodes op and args as
 // "BM_Op/arg0/arg1/..."; args are re-parsed from it since the reporter only

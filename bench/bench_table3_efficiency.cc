@@ -18,7 +18,9 @@
 // phenotyping heads) and then scored on the test split for per-step
 // decompensation (the parameterless DecompensationHead reuses the trained
 // readout over the per-step encoding — models without one show "-") and
-// phenotyping AUC-ROC. The JSON schema is "elda-bench-table3-v3"; the AUC
+// phenotyping AUC-ROC. The "decomp ms/adm" column (JSON
+// decomp_ms_per_adm, -1 when not applicable) times that decompensation
+// evaluation pass over the test split per admission. The JSON schema is "elda-bench-table3-v3"; the AUC
 // fields are reported by bench/check_regression.py but never gate (quality
 // at one bench epoch is noisy by design; -1 marks not-applicable).
 //
@@ -114,7 +116,8 @@ int main(int argc, char** argv) {
                       "infer ms/adm B=256",
                       "batch ms/adm (1 thr)",
                       "batch ms/adm (" + std::to_string(par_threads) + " thr)",
-                      "speedup", "decomp AUC", "pheno AUC"});
+                      "speedup", "decomp AUC", "decomp ms/adm",
+                      "pheno AUC"});
   struct JsonRow {
     std::string name;
     int64_t params = 0;
@@ -124,6 +127,7 @@ int main(int argc, char** argv) {
     double batch_ms_serial = 0.0;
     double batch_ms_parallel = 0.0;
     double decomp_auc_roc = -1.0;  // -1: model has no per-step encoding
+    double decomp_ms_per_adm = -1.0;
     double pheno_auc_roc = -1.0;
   };
   std::vector<JsonRow> json_rows;
@@ -211,6 +215,7 @@ int main(int argc, char** argv) {
     // per-step encoding is the per-step risk; training itself stays on the
     // cheap terminal path.
     double decomp_auc = -1.0;
+    double decomp_ms = -1.0;
     double pheno_auc = -1.0;
     {
       auto fresh = baselines::MakeModel(name, cohort.num_features(), 3);
@@ -228,9 +233,12 @@ int main(int argc, char** argv) {
       pheno_auc = trained.test.ForTask("phenotyping").auc_roc;
       if (fresh->has_step_encoding()) {
         heads.Add(std::make_unique<train::DecompensationHead>(), 1.0f);
+        Stopwatch decomp_watch;
         train::MultiTaskEvalResult eval = train::Trainer::EvaluateMultiTask(
             fresh.get(), &heads, experiment.prepared(),
             experiment.split().test, experiment.task());
+        decomp_ms = decomp_watch.Milliseconds() /
+                    static_cast<double>(experiment.split().test.size());
         decomp_auc = eval.ForTask("decompensation").auc_roc;
       }
     }
@@ -244,6 +252,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(parallel_ms, 2),
                   TablePrinter::Num(serial_ms / parallel_ms, 2),
                   decomp_auc < 0.0 ? "-" : TablePrinter::Num(decomp_auc, 3),
+                  decomp_ms < 0.0 ? "-" : TablePrinter::Num(decomp_ms, 2),
                   TablePrinter::Num(pheno_auc, 3)});
     JsonRow row;
     row.name = name;
@@ -254,6 +263,7 @@ int main(int argc, char** argv) {
     row.batch_ms_serial = serial_ms;
     row.batch_ms_parallel = parallel_ms;
     row.decomp_auc_roc = decomp_auc;
+    row.decomp_ms_per_adm = decomp_ms;
     row.pheno_auc_roc = pheno_auc;
     json_rows.push_back(std::move(row));
     std::cout << "." << std::flush;
@@ -278,6 +288,7 @@ int main(int argc, char** argv) {
             << ", \"batch_ms_per_adm_serial\": " << r.batch_ms_serial
             << ", \"batch_ms_per_adm_parallel\": " << r.batch_ms_parallel
             << ", \"decomp_auc_roc\": " << r.decomp_auc_roc
+            << ", \"decomp_ms_per_adm\": " << r.decomp_ms_per_adm
             << ", \"pheno_auc_roc\": " << r.pheno_auc_roc
             << "}" << (i + 1 < json_rows.size() ? "," : "") << "\n";
       }

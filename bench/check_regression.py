@@ -47,6 +47,8 @@ KEY_OPS = [
     "BM_FeatureInteractionFactored/37/256/2",
     "BM_EldaNetForwardBackward",
     "BM_EldaNetInference/256/1",
+    # Per-step decompensation encodings (packed segment sweep), no-grad.
+    "BM_EldaNetEncodeSteps/0",
     # Out-of-core data substrate (bench_loader --json_out, schema
     # elda-bench-loader-v1; same {name, ns_per_iter} row shape so the files
     # join here directly). ns_per_iter is ns/stay for generation and

@@ -48,7 +48,8 @@ bool CheckGradients(const std::function<Variable()>& f,
       const float numeric = (f_plus - f_minus) / (2.0f * options.epsilon);
       const float analytic_value = analytic[pi][i];
       const float diff = std::fabs(analytic_value - numeric);
-      if (diff > options.atol + options.rtol * std::fabs(numeric)) {
+      // Negated so a NaN analytic or numeric gradient fails.
+      if (!(diff <= options.atol + options.rtol * std::fabs(numeric))) {
         if (error != nullptr) {
           std::ostringstream msg;
           msg << "gradient mismatch at param " << pi << " element " << i

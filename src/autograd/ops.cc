@@ -338,6 +338,37 @@ Variable StepView(const Variable& a, int64_t t) {
                       });
 }
 
+Variable GatherRows(const Variable& a, std::vector<int64_t> index) {
+  const Tensor& v = a.value();
+  ELDA_CHECK_GE(v.dim(), 1);
+  const int64_t rows = v.shape(0);
+  const int64_t row = v.size() / std::max<int64_t>(rows, 1);
+  std::vector<int64_t> shape = v.shape();
+  shape[0] = static_cast<int64_t>(index.size());
+  Tensor out = Tensor::Empty(std::move(shape));
+  for (size_t i = 0; i < index.size(); ++i) {
+    ELDA_CHECK(index[i] >= 0 && index[i] < rows)
+        << "row " << index[i] << " of " << rows;
+    std::copy(v.data() + index[i] * row, v.data() + (index[i] + 1) * row,
+              out.data() + static_cast<int64_t>(i) * row);
+  }
+  return MakeOpResult(
+      std::move(out), {a}, [index = std::move(index), row](Node* n) {
+        Node* parent = n->parents[0].get();
+        if (!parent->requires_grad) return;
+        if (!parent->grad.defined()) {
+          parent->grad = Tensor(parent->value.shape());  // zero-filled
+        }
+        const float* src = n->grad.data();
+        float* dst = parent->grad.data();
+        for (size_t i = 0; i < index.size(); ++i) {
+          const float* g = src + static_cast<int64_t>(i) * row;
+          float* d = dst + index[i] * row;
+          for (int64_t k = 0; k < row; ++k) d[k] += g[k];
+        }
+      });
+}
+
 Variable Stack0(const std::vector<Variable>& parts) {
   ELDA_CHECK(!parts.empty());
   std::vector<Tensor> values;

@@ -104,6 +104,13 @@ Variable RowsView(const Variable& a, int64_t start, int64_t len);
 // a [T, B, H] input yields the [B, H] step tensor.
 Variable StepView(const Variable& a, int64_t t);
 
+// Rows of `a` along axis 0 picked by `index` (repeats allowed): a
+// [N, rest...] input yields [index.size(), rest...]. One tape node; the
+// forward copies rows and the backward adds each output row's gradient into
+// its source row in index order, so the result does not depend on the
+// thread count.
+Variable GatherRows(const Variable& a, std::vector<int64_t> index);
+
 // Stacks N same-shaped parts into [N, shape...] (the inverse of N StepView
 // reads): one tape node whose backward hands each parent a zero-copy view
 // of the stacked gradient.

@@ -51,12 +51,20 @@ class EldaNet : public train::SequenceModel {
   //
   // The encoding is the representation the prediction head reads: the
   // time-interaction output (Full/-T) or the plain GRU's final state (the
-  // -F variants). V_m (bi) embeddings are window-global — a feature's
-  // first observation retroactively changes earlier embeddings — so
-  // per-step encodings use the base prefix replay; a single causal sweep
-  // would diverge from the streamed path.
+  // -F variants).
   ag::Variable EncodeTerminal(const data::Batch& batch,
                               nn::ForwardContext* ctx) const override;
+
+  // Per-step encodings in one packed segment sweep, bitwise equal to the
+  // base prefix replay. V_m (bi) embeddings are window-global: a feature's
+  // first observation retroactively changes earlier embeddings, so one
+  // causal sweep per row would diverge. The never-observed set of prefix t
+  // only changes at a row's first-observation steps, though, so each row
+  // sweeps once per segment between them (once in all for variants without
+  // V_m); all segments of the batch run as one packed sweep, and prefix t
+  // reads the states of the segment containing it. Captures nothing.
+  ag::Variable EncodeSteps(const data::Batch& batch,
+                           nn::ForwardContext* ctx) const override;
   ag::Variable Readout(const ag::Variable& rep,
                        nn::ForwardContext* ctx) const override;
   int64_t encoding_dim() const override;
@@ -70,7 +78,10 @@ class EldaNet : public train::SequenceModel {
   // states. The one non-causal piece is V_m (bi embeddings): a feature
   // observed for the first time after step 0 retroactively changes earlier
   // embeddings, so that session replays its retained window — bounded at
-  // most C times per stay.
+  // most C times per stay. All sessions of a call that replay do so in one
+  // packed sweep (as EncodeSteps). A capture sink receives the feature
+  // attention of the sessions that stepped incrementally and the time
+  // attention of the call's scoring; replays capture nothing.
   std::unique_ptr<nn::StepState> MakeStepState(
       int64_t window_capacity) const override;
   ag::Variable StepForward(const train::StepBatch& obs,

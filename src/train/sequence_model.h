@@ -77,8 +77,10 @@ class SequenceModel : public nn::Module {
   // the prefix [0, t] of row b, so Readout over it is the model's rolling
   // risk — the decompensation workload. Steps below min_steps_to_score()
   // hold quiet-NaN rows. The base implementation replays each prefix through
-  // EncodeTerminal (correct for every model, O(T) forwards); models with a
-  // causal recurrence may override with a single-sweep version. Only valid
+  // EncodeTerminal (correct for every model, O(T) forwards, O(T^2) steps)
+  // and is the oracle overrides are tested against bitwise. GRU and GRU-D
+  // override it with one causal sweep, ELDA-Net with a packed sweep per
+  // never-observed segment (its V_m embedding is not causal). Only valid
   // when has_step_encoding() is true.
   virtual ag::Variable EncodeSteps(const data::Batch& batch,
                                    nn::ForwardContext* ctx) const;

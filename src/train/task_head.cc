@@ -1,5 +1,8 @@
 #include "train/task_head.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "autograd/ops.h"
 
 namespace elda {
@@ -70,9 +73,25 @@ ag::Variable DecompensationHead::Logits(const SequenceModel& model,
   const int64_t dim = enc.steps.value().shape(2);
   // Readout rows are batching-independent, so flattening [B, T, H] to
   // [B*T, H] scores every step bitwise as if each prefix had been the
-  // terminal batch — warm-up NaN rows pass through as NaN logits.
-  ag::Variable flat = ag::Reshape(enc.steps, {batch_size * steps, dim});
-  return ag::Reshape(model.Readout(flat, ctx), {batch_size, steps});
+  // terminal batch.
+  const int64_t warm_up = std::min(steps, model.min_steps_to_score() - 1);
+  if (warm_up == 0) {
+    ag::Variable flat = ag::Reshape(enc.steps, {batch_size * steps, dim});
+    return ag::Reshape(model.Readout(flat, ctx), {batch_size, steps});
+  }
+  // Warm-up steps get quiet-NaN logits without passing through the
+  // readout: a NaN encoding row there would turn the readout weights'
+  // gradient into NaN, even though the loss gives those cells none.
+  ag::Variable nan_logits = ag::Constant(Tensor::Full(
+      {batch_size, warm_up}, std::numeric_limits<float>::quiet_NaN()));
+  if (warm_up == steps) return nan_logits;
+  const int64_t scored = steps - warm_up;
+  ag::Variable flat = ag::Reshape(ag::Slice(enc.steps, 1, warm_up, scored),
+                                  {batch_size * scored, dim});
+  return ag::Concat(
+      {nan_logits,
+       ag::Reshape(model.Readout(flat, ctx), {batch_size, scored})},
+      1);
 }
 
 ag::Variable DecompensationHead::Loss(const SequenceModel& model,

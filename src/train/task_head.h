@@ -10,7 +10,8 @@
 //                        and loss recompose exactly the legacy monolithic
 //                        Forward + BceWithLogits — bitwise, by construction.
 //   DecompensationHead   per-step risk [B, T]: the model's readout applied
-//                        to every row of EncodeSteps. Readout rows are
+//                        to every row of EncodeSteps past the warm-up steps
+//                        (which get quiet-NaN logits). Readout rows are
 //                        batching-independent, so step t of row b is bitwise
 //                        the terminal risk of the prefix [0, t] — and
 //                        therefore bitwise what the streaming StepForward

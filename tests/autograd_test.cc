@@ -218,6 +218,29 @@ TEST(GradCheckTest, ConcatAndSlice) {
       {a, b});
 }
 
+TEST(GradCheckTest, GatherRowsWithRepeatedIndices) {
+  Variable a = Param({5, 3, 2}, 40);
+  // Row 4 is gathered three times, row 3 never.
+  const std::vector<int64_t> index = {4, 0, 4, 2, 4, 1};
+  ExpectGradCheck([&] { return SumAll(Square(GatherRows(a, index))); }, {a});
+  Variable g = GatherRows(a, index);
+  ASSERT_EQ(g.value().shape(), (std::vector<int64_t>{6, 3, 2}));
+  for (size_t i = 0; i < index.size(); ++i) {
+    for (int64_t k = 0; k < 6; ++k) {
+      EXPECT_EQ(g.value()[static_cast<int64_t>(i) * 6 + k],
+                a.value()[index[i] * 6 + k]);
+    }
+  }
+  a.ZeroGrad();
+  SumAll(g).Backward();
+  const float want[] = {1, 1, 1, 0, 3};  // gathers per source row
+  for (int64_t row = 0; row < 5; ++row) {
+    for (int64_t k = 0; k < 6; ++k) {
+      EXPECT_EQ(a.grad()[row * 6 + k], want[row]) << "row " << row;
+    }
+  }
+}
+
 TEST(GradCheckTest, SumMeanAxes) {
   Variable a = Param({3, 4, 2}, 21);
   ExpectGradCheck([&] { return SumAll(Square(Sum(a, 1))); }, {a});
@@ -364,6 +387,20 @@ TEST(GradCheckHarnessTest, DetectsWrongGradients) {
   std::string error;
   const bool ok = CheckGradients(
       [&] { return SumAll(Mul(x, x.Detach())); }, {x}, {}, &error);
+  EXPECT_FALSE(ok);
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(GradCheckHarnessTest, RejectsNanAnalyticGradient) {
+  // Row 1 of `m` is NaN and its product row is sliced away, so f is finite
+  // with derivative 1 per element of x; but the MatMul adjoint multiplies
+  // the NaN row by its zero gradient, making the analytic gradient NaN.
+  Variable x(Tensor::FromData({1, 2}, {0.5f, -1.0f}), true);
+  const Variable m = Constant(
+      Tensor::FromData({2, 1}, {1.0f, std::nanf("")}));
+  std::string error;
+  const bool ok = CheckGradients(
+      [&] { return SumAll(Slice(MatMul(m, x), 0, 0, 1)); }, {x}, {}, &error);
   EXPECT_FALSE(ok);
   EXPECT_FALSE(error.empty());
 }

@@ -13,6 +13,7 @@
 #include "optim/optimizer.h"
 #include "par/par.h"
 #include "synth/simulator.h"
+#include "train/task_head.h"
 #include "tensor/simd_math.h"
 #include "tensor/tensor_ops.h"
 
@@ -676,6 +677,255 @@ TEST(EldaNetTest, LearnsInteractionSignal) {
     correct += (probs[i] >= 0.5f) == (test.y[i] == 1.0f);
   }
   EXPECT_GT(correct, 200);  // well above the 50% chance level
+}
+
+// ---- Per-step encodings (packed segment sweep vs prefix replay) ------------------
+
+const EldaNetConfig kAllVariants[] = {
+    EldaNetConfig::Full(),           EldaNetConfig::VariantT(),
+    EldaNetConfig::VariantFBi(),     EldaNetConfig::VariantFBiStar(),
+    EldaNetConfig::VariantFFm(),     EldaNetConfig::VariantFFmStar(),
+};
+
+EldaNetConfig Shrink(EldaNetConfig config, int64_t features, int64_t hidden) {
+  config.num_features = features;
+  config.embed_dim = 5;
+  config.compression = 2;
+  config.hidden_dim = hidden;
+  return config;
+}
+
+// A batch whose rows exercise every segment shape of V_m: row patterns
+// cycle through (0) every feature observed at step 0 — no flip, (1) first
+// observations at steps 1, 2 and T-1 (a flip at t0, t0+1 and T-1 for the
+// time-interaction variants) with the last feature never observed, (2) a
+// sparse random mask (many flips) and (3) one feature first observed at a
+// random step. Ragged batches zero x and mask past each row's length, as
+// data::MakeBatch pads. Zero values exercise the star variants' routing.
+data::Batch FlipBatch(int64_t batch, int64_t steps, int64_t features,
+                      bool ragged, uint64_t seed) {
+  Rng rng(seed);
+  data::Batch b;
+  b.x = Tensor::Normal({batch, steps, features}, 0.0f, 1.0f, &rng);
+  b.mask = Tensor::Zeros({batch, steps, features});
+  b.delta = Tensor::Zeros({batch, steps, features});
+  b.y = Tensor::Zeros({batch});
+  b.lengths.assign(static_cast<size_t>(batch), steps);
+  for (int64_t r = 0; r < batch; ++r) {
+    std::vector<int64_t> first(static_cast<size_t>(features), 0);
+    switch (r % 4) {
+      case 0:
+        break;
+      case 1:
+        first[0] = std::min<int64_t>(1, steps - 1);
+        first[1] = std::min<int64_t>(2, steps - 1);
+        first[2] = steps - 1;
+        first[features - 1] = steps;  // never observed
+        break;
+      case 2:
+        for (int64_t c = 0; c < features; ++c) {
+          first[c] = static_cast<int64_t>(rng.UniformInt(steps + 1));
+        }
+        break;
+      default:
+        first[r % features] = static_cast<int64_t>(rng.UniformInt(steps));
+        break;
+    }
+    for (int64_t t = 0; t < steps; ++t) {
+      for (int64_t c = 0; c < features; ++c) {
+        const bool observed =
+            t == first[c] || (t > first[c] && rng.Bernoulli(0.3));
+        b.mask.at({r, t, c}) = observed ? 1.0f : 0.0f;
+        if (rng.Bernoulli(0.1)) b.x.at({r, t, c}) = 0.0f;
+      }
+    }
+    if (ragged && r % 2 == 1 && steps > 1) {
+      const int64_t len = 1 + static_cast<int64_t>(rng.UniformInt(steps - 1));
+      b.lengths[static_cast<size_t>(r)] = len;
+      for (int64_t t = len; t < steps; ++t) {
+        for (int64_t c = 0; c < features; ++c) {
+          b.x.at({r, t, c}) = 0.0f;
+          b.mask.at({r, t, c}) = 0.0f;
+        }
+      }
+    }
+  }
+  return b;
+}
+
+// Bitwise equality with NaN == NaN (warm-up steps are quiet NaN).
+bool SameBitsOrNan(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (int64_t i = 0; i < a.size(); ++i) {
+    const float x = a.data()[i];
+    const float y = b.data()[i];
+    if (std::isnan(x) && std::isnan(y)) continue;
+    if (std::memcmp(&x, &y, sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+TEST(EldaNetTest, EncodeStepsMatchesPrefixReplayBitwise) {
+  const int64_t features = 6;
+  // {B, T}. B=64, T=48 packs ~6k tiles for the V_m variants, so their
+  // embedding + feature interaction runs in more than one chunk.
+  const std::vector<std::pair<int64_t, int64_t>> shapes = {
+      {1, 1}, {1, 2}, {1, 48}, {7, 1}, {7, 2}, {7, 48}, {64, 48}};
+  for (const EldaNetConfig& variant : kAllVariants) {
+    const EldaNet net(Shrink(variant, features, 7));
+    for (const auto& [batch_size, steps] : shapes) {
+      for (const bool ragged : {false, true}) {
+        const data::Batch batch =
+            FlipBatch(batch_size, steps, features, ragged,
+                      100 + static_cast<uint64_t>(batch_size * steps));
+        for (const bool scalar : {false, true}) {
+          simd::ForceScalar(scalar);
+          nn::ForwardContext ctx;
+          const Tensor want =
+              net.train::SequenceModel::EncodeSteps(batch, &ctx).value();
+          for (const int64_t threads : {1, 2, 4}) {
+            SCOPED_TRACE(::testing::Message()
+                         << variant.display_name << " B=" << batch_size
+                         << " T=" << steps << (ragged ? " ragged" : "")
+                         << " threads=" << threads
+                         << (scalar ? " scalar" : " simd"));
+            par::ScopedNumThreads scoped(threads);
+            const Tensor got = net.EncodeSteps(batch, &ctx).value();
+            EXPECT_TRUE(SameBitsOrNan(got, want));
+          }
+        }
+        simd::ForceScalar(false);
+      }
+    }
+  }
+}
+
+TEST(EldaNetTest, EncodeWithStepsLeavesTerminalCaptures) {
+  for (const EldaNetConfig& variant : kAllVariants) {
+    SCOPED_TRACE(variant.display_name);
+    const EldaNet net(Shrink(variant, 6, 7));
+    const data::Batch batch = FlipBatch(5, 9, 6, /*ragged=*/true, 7);
+    nn::CaptureSink terminal_sink, encode_sink;
+    nn::ForwardContext terminal_ctx, encode_ctx;
+    terminal_ctx.capture = &terminal_sink;
+    encode_ctx.capture = &encode_sink;
+    net.EncodeTerminal(batch, &terminal_ctx);
+    net.Encode(batch, &encode_ctx, /*want_steps=*/true);
+    ASSERT_EQ(encode_sink.entries().size(), terminal_sink.entries().size());
+    for (const char* name : {"feature_attention", "time_attention"}) {
+      ASSERT_EQ(encode_sink.Contains(name), terminal_sink.Contains(name))
+          << name;
+      if (!terminal_sink.Contains(name)) continue;
+      EXPECT_TRUE(
+          SameBits(encode_sink.Get(name), terminal_sink.Get(name)))
+          << name;
+    }
+  }
+}
+
+// Per-step decompensation loss through the model's own Readout: the
+// DecompensationHead over Encode(..., want_steps=true).
+ag::Variable DecompensationLoss(const train::SequenceModel& model,
+                                const data::Batch& batch) {
+  const train::DecompensationHead head;
+  nn::ForwardContext ctx;
+  const train::Encoding enc = model.Encode(batch, &ctx, /*want_steps=*/true);
+  return head.Loss(model, head.Logits(model, enc, &ctx), batch);
+}
+
+data::Batch DecompensationBatch(int64_t batch, int64_t steps,
+                                int64_t features, uint64_t seed) {
+  data::Batch b = FlipBatch(batch, steps, features, /*ragged=*/false, seed);
+  Rng rng(seed + 1);
+  b.y_decomp = Tensor({batch, steps});
+  for (int64_t i = 0; i < b.y_decomp.size(); ++i) {
+    b.y_decomp[i] = rng.Bernoulli(0.5) ? 1.0f : 0.0f;
+  }
+  b.y_pheno = Tensor::Zeros({batch, data::kNumPhenotypes});
+  return b;
+}
+
+std::vector<Tensor> ParameterGrads(const EldaNet& net,
+                                   const ag::Variable& loss) {
+  for (ag::Variable p : net.Parameters()) p.ZeroGrad();
+  loss.Backward();
+  std::vector<Tensor> grads;
+  for (const ag::Variable& p : net.Parameters()) {
+    grads.push_back(p.has_grad() ? p.grad().Clone()
+                                 : Tensor::Zeros(p.value().shape()));
+  }
+  return grads;
+}
+
+TEST(EldaNetTest, DecompensationLossThroughFlipsPassesGradcheck) {
+  for (const EldaNetConfig& variant :
+       {EldaNetConfig::Full(), EldaNetConfig::VariantFBi()}) {
+    SCOPED_TRACE(variant.display_name);
+    EldaNetConfig config = Shrink(variant, 3, 3);
+    config.embed_dim = 3;
+    const EldaNet net(config);
+    // B = 4 covers all four row patterns; T = 5 gives rows 1-3 flips.
+    const data::Batch batch = DecompensationBatch(4, 5, 3, 61);
+    std::string error;
+    ag::GradCheckOptions options;
+    options.max_elements_per_param = 8;
+    EXPECT_TRUE(ag::CheckGradients(
+        [&] { return DecompensationLoss(net, batch); }, net.Parameters(),
+        options, &error))
+        << error;
+  }
+}
+
+// B=64, T=48 so the V_m variants' packed tiles span several chunks.
+TEST(EldaNetTest, DecompensationGradientsThreadInvariantAndNearReplay) {
+  for (const EldaNetConfig& variant : kAllVariants) {
+    SCOPED_TRACE(variant.display_name);
+    const EldaNet net(Shrink(variant, 6, 7));
+    const data::Batch batch = DecompensationBatch(64, 48, 6, 62);
+    std::vector<Tensor> want;
+    for (const int64_t threads : {1, 2, 4}) {
+      par::ScopedNumThreads scoped(threads);
+      const std::vector<Tensor> got =
+          ParameterGrads(net, DecompensationLoss(net, batch));
+      if (want.empty()) {
+        want = got;
+        continue;
+      }
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(SameBits(got[i], want[i]))
+            << "parameter " << i << " at " << threads << " threads";
+      }
+    }
+    // The prefix-replay oracle accumulates the same terms in another order.
+    struct Replay : train::SequenceModel {
+      explicit Replay(const EldaNet& net)
+          : train::SequenceModel(net.num_features()), net(net) {}
+      ag::Variable EncodeTerminal(const data::Batch& b,
+                                  nn::ForwardContext* ctx) const override {
+        return net.EncodeTerminal(b, ctx);
+      }
+      ag::Variable Readout(const ag::Variable& rep,
+                           nn::ForwardContext* ctx) const override {
+        return net.Readout(rep, ctx);
+      }
+      int64_t encoding_dim() const override { return net.encoding_dim(); }
+      int64_t min_steps_to_score() const override {
+        return net.min_steps_to_score();
+      }
+      std::string name() const override { return "replay"; }
+      const EldaNet& net;
+    };
+    const Replay replay(net);
+    const std::vector<Tensor> oracle =
+        ParameterGrads(net, DecompensationLoss(replay, batch));
+    ASSERT_EQ(oracle.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      for (int64_t k = 0; k < want[i].size(); ++k) {
+        ASSERT_NEAR(want[i][k], oracle[i][k], 1e-5f)
+            << "parameter " << i << " element " << k;
+      }
+    }
+  }
 }
 
 // ---- ELDA framework ------------------------------------------------------------------

@@ -186,6 +186,81 @@ TEST(ServeTest, BatchedStepsMatchSingleSession) {
 // Once the rolling window is full, the fallback keeps scoring on the
 // retained suffix — state advances and the logit matches Forward over the
 // window a fresh state fed the same suffix would hold.
+// ELDA-Net replays a session's window when a feature is first observed
+// after step 0; all sessions flipping in one StepForward call replay in one
+// packed sweep. Here sessions flip at window lengths 2, 4, 5 and 8 in the
+// same call, beside sessions that do not flip (everything seen at step 0,
+// or a first observation at step 0 of a fresh session), and a second call
+// advances every session again. Each logit must equal Forward over that
+// session's window bitwise.
+TEST(ServeTest, BatchedFlipReplaysMatchForwardBitwise) {
+  // Window length at the first joint call, and whether feature 0 is first
+  // observed in it.
+  struct Plan {
+    int64_t length;
+    bool flips;
+  };
+  const Plan plans[] = {{4, true},  {6, false}, {2, true},  {1, false},
+                        {8, true},  {3, false}, {5, true}};
+  for (const std::string& name :
+       {std::string("ELDA-Net"), std::string("ELDA-Net-Fbi")}) {
+    SCOPED_TRACE(name);
+    auto model = baselines::MakeModel(name, kFeatures, /*seed=*/3);
+    std::vector<data::Batch> patients;
+    std::vector<std::unique_ptr<nn::StepState>> states;
+    std::vector<nn::StepState*> raw;
+    for (size_t i = 0; i < std::size(plans); ++i) {
+      // One step past the joint call, so the second call has a row too.
+      data::Batch p = RandomPatient(plans[i].length + 1, 300 + i);
+      for (int64_t t = 0; t <= plans[i].length; ++t) {
+        float* m = p.mask.data() + t * kFeatures;
+        if (plans[i].flips) {
+          m[0] = t == plans[i].length - 1 ? 1.0f : 0.0f;
+        } else if (t == 0) {
+          for (int64_t c = 0; c < kFeatures; ++c) m[c] = 1.0f;
+        }
+      }
+      patients.push_back(std::move(p));
+      states.push_back(model->MakeStepState(/*window_capacity=*/16));
+      raw.push_back(states.back().get());
+    }
+    ag::NoGradScope no_grad;
+    // Warm each session up to one step before its joint call, alone.
+    for (size_t i = 0; i < patients.size(); ++i) {
+      for (int64_t t = 0; t + 1 < plans[i].length; ++t) {
+        model->StepForward(StepAt({patients[i]}, t), {raw[i]}, nullptr);
+      }
+    }
+    for (int64_t call = 0; call < 2; ++call) {
+      SCOPED_TRACE(call);
+      train::StepBatch sb;
+      sb.x = Tensor::Empty({static_cast<int64_t>(patients.size()), kFeatures});
+      sb.mask = Tensor::Empty(sb.x.shape());
+      sb.delta = Tensor::Empty(sb.x.shape());
+      for (size_t i = 0; i < patients.size(); ++i) {
+        const train::StepBatch row =
+            StepAt({patients[i]}, plans[i].length - 1 + call);
+        const size_t bytes = sizeof(float) * kFeatures;
+        std::memcpy(sb.x.data() + i * kFeatures, row.x.data(), bytes);
+        std::memcpy(sb.mask.data() + i * kFeatures, row.mask.data(), bytes);
+        std::memcpy(sb.delta.data() + i * kFeatures, row.delta.data(), bytes);
+      }
+      const Tensor logits = model->StepForward(sb, raw, nullptr).value();
+      for (size_t i = 0; i < patients.size(); ++i) {
+        const int64_t len = plans[i].length + call;
+        const float got = logits[static_cast<int64_t>(i)];
+        if (len < model->min_steps_to_score()) {
+          EXPECT_TRUE(std::isnan(got)) << "session " << i;
+          continue;
+        }
+        const float want = model->Forward(Prefix(patients[i], len)).value()[0];
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+            << "session " << i << ": " << got << " vs " << want;
+      }
+    }
+  }
+}
+
 TEST(ServeTest, ReplayFallbackTruncatesToWindowCapacity) {
   const int64_t T = 9;
   const int64_t window = 4;
