@@ -286,17 +286,40 @@ void BM_FeatureInteractionNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureInteractionNaive)->Arg(12)->Arg(24)->Arg(37);
 
+// The fused Eq. 2 embedding (with V_m) at ELDA-Net's training shape,
+// B=64, T=48, C=37, E=24: arg0 = 0 a taped forward, 1 forward + backward.
+// The backward's loss sums one batch row, so a serial SumAll over all 2.7M
+// outputs does not swamp the op; the op's backward still runs over the
+// whole [B, T, C, E] gradient. The counter reports tape nodes per
+// iteration.
 void BM_BiDirectionalEmbedding(benchmark::State& state) {
+  const bool backward = state.range(0) != 0;
   Rng rng(15);
   core::BiDirectionalEmbedding embedding(
       37, 24, core::EmbeddingVariant::kBiDirectional, -3, 3, true, &rng);
   ag::Variable x = ag::Constant(RandomTensor({64, 48, 37}, 16));
   Tensor mask = Tensor::Ones({64, 48, 37});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(embedding.Forward(x, mask));
+  for (int64_t c = 0; c < 37; c += 4) mask.at({c % 64, 0, c}) = 0.0f;
+  for (int64_t c = 1; c < 37; c += 5) {
+    for (int64_t b = 0; b < 64; ++b) {
+      for (int64_t t = 0; t < 48; ++t) mask.at({b, t, c}) = 0.0f;
+    }
   }
+  int64_t tape_nodes = 0;
+  for (auto _ : state) {
+    const int64_t nodes_before = ag::TapeNodesAllocated();
+    if (backward) {
+      embedding.ZeroGrad();
+      ag::SumAll(ag::Slice(embedding.Forward(x, mask), 0, 0, 1)).Backward();
+    } else {
+      benchmark::DoNotOptimize(embedding.Forward(x, mask));
+    }
+    tape_nodes += ag::TapeNodesAllocated() - nodes_before;
+  }
+  state.counters["tape_nodes_per_iter"] = benchmark::Counter(
+      static_cast<double>(tape_nodes) / static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_BiDirectionalEmbedding);
+BENCHMARK(BM_BiDirectionalEmbedding)->Arg(0)->Arg(1);
 
 void BM_EldaNetForwardBackward(benchmark::State& state) {
   core::EldaNetConfig config = core::EldaNetConfig::Full();

@@ -45,6 +45,8 @@ KEY_OPS = [
     "BM_FeatureInteractionFactored/37/8/0",
     "BM_FeatureInteractionFactored/37/64/1",
     "BM_FeatureInteractionFactored/37/256/2",
+    # The fused Eq. 2 embedding op, taped forward + backward at B=64.
+    "BM_BiDirectionalEmbedding/1",
     "BM_EldaNetForwardBackward",
     "BM_EldaNetInference/256/1",
     # Per-step decompensation encodings (packed segment sweep), no-grad.

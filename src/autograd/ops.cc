@@ -27,7 +27,8 @@ Variable Add(const Variable& a, const Variable& b) {
 Variable Sub(const Variable& a, const Variable& b) {
   return MakeOpResult(elda::Sub(a.value(), b.value()), {a, b}, [](Node* n) {
     AccumulateGrad(n->parents[0].get(), n->grad);
-    AccumulateGrad(n->parents[1].get(), elda::Neg(n->grad));
+    Node* pb = n->parents[1].get();
+    if (pb->requires_grad) AccumulateGrad(pb, elda::Neg(n->grad));
   });
 }
 
@@ -35,8 +36,12 @@ Variable Mul(const Variable& a, const Variable& b) {
   Tensor va = a.value();
   Tensor vb = b.value();
   return MakeOpResult(elda::Mul(va, vb), {a, b}, [va, vb](Node* n) {
-    AccumulateGrad(n->parents[0].get(), elda::Mul(n->grad, vb));
-    AccumulateGrad(n->parents[1].get(), elda::Mul(n->grad, va));
+    // Products for a parent that takes no gradient (a constant, a mask)
+    // are skipped: AccumulateGrad would discard them.
+    Node* pa = n->parents[0].get();
+    Node* pb = n->parents[1].get();
+    if (pa->requires_grad) AccumulateGrad(pa, elda::Mul(n->grad, vb));
+    if (pb->requires_grad) AccumulateGrad(pb, elda::Mul(n->grad, va));
   });
 }
 
@@ -45,10 +50,13 @@ Variable Div(const Variable& a, const Variable& b) {
   Tensor vb = b.value();
   return MakeOpResult(elda::Div(va, vb), {a, b}, [va, vb](Node* n) {
     // d/da = g / b;  d/db = -g * a / b^2
-    AccumulateGrad(n->parents[0].get(), elda::Div(n->grad, vb));
-    Tensor gb = elda::Neg(
-        elda::Div(elda::Mul(n->grad, va), elda::Mul(vb, vb)));
-    AccumulateGrad(n->parents[1].get(), gb);
+    Node* pa = n->parents[0].get();
+    Node* pb = n->parents[1].get();
+    if (pa->requires_grad) AccumulateGrad(pa, elda::Div(n->grad, vb));
+    if (pb->requires_grad) {
+      AccumulateGrad(pb, elda::Neg(elda::Div(elda::Mul(n->grad, va),
+                                             elda::Mul(vb, vb))));
+    }
   });
 }
 
@@ -163,6 +171,35 @@ Variable FeatureInteractionTile(const Variable& e, const Variable& w_alpha,
         AccumulateGrad(n->parents[1].get(), grads.dw);
         AccumulateGrad(n->parents[2].get(), grads.db);
         AccumulateGrad(n->parents[3].get(), grads.dp);
+      });
+}
+
+Variable BiDirectionalEmbedding(const Tensor& x, const Variable& va,
+                                const Variable& vb, const Variable& vm,
+                                const Tensor& never,
+                                const EmbeddingSpec& spec) {
+  const bool has_vb = vb.defined();
+  const bool has_vm = vm.defined();
+  std::vector<Variable> parents{va};
+  if (has_vb) parents.push_back(vb);
+  if (has_vm) parents.push_back(vm);
+  Tensor out = elda::BiDirectionalEmbedding(
+      x, va.value(), has_vb ? vb.value() : Tensor(),
+      has_vm ? vm.value() : Tensor(), never, spec);
+  return MakeOpResult(
+      std::move(out), std::move(parents),
+      [x, never, spec, has_vb, has_vm](Node* n) {
+        Node* pa = n->parents[0].get();
+        Node* pb = has_vb ? n->parents[1].get() : nullptr;
+        Node* pm = has_vm ? n->parents.back().get() : nullptr;
+        const elda::BiDirectionalEmbeddingGrads grads =
+            elda::BiDirectionalEmbeddingBackward(
+                x, never, n->grad, spec, pa->requires_grad,
+                pb != nullptr && pb->requires_grad,
+                pm != nullptr && pm->requires_grad);
+        if (grads.dva.defined()) AccumulateGrad(pa, grads.dva);
+        if (grads.dvb.defined()) AccumulateGrad(pb, grads.dvb);
+        if (grads.dvm.defined()) AccumulateGrad(pm, grads.dvm);
       });
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "autograd/variable.h"
+#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 namespace elda {
@@ -70,6 +71,16 @@ Variable ExpNegRelu(const Variable& a);                     // exp(-relu(a))
 Variable FeatureInteractionTile(const Variable& e, const Variable& w_alpha,
                                 const Variable& b_alpha, const Variable& p,
                                 Tensor* alpha_out);
+
+// Paper Eq. 2 as one tape node (core::BiDirectionalEmbedding), bitwise
+// equal to the composed broadcast chain (tensor/tensor_ops.h
+// "Bi-directional embedding"). x [B, T, C] is a constant input; va holds V
+// for the FM variants, vb is undefined for them, and vm/never are undefined
+// without V_m. Returns [B, T, C, E].
+Variable BiDirectionalEmbedding(const Tensor& x, const Variable& va,
+                                const Variable& vb, const Variable& vm,
+                                const Tensor& never,
+                                const EmbeddingSpec& spec);
 
 // -- Linear algebra ---------------------------------------------------------------
 

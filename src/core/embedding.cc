@@ -97,49 +97,26 @@ ag::Variable BiDirectionalEmbedding::Forward(const ag::Variable& x,
 
 ag::Variable BiDirectionalEmbedding::ForwardWithNever(
     const ag::Variable& x, const Tensor& never) const {
+  ELDA_CHECK(!x.requires_grad()) << "the embedding input is a constant";
   const Tensor& xv = x.value();
   ELDA_CHECK_EQ(xv.dim(), 3);
   ELDA_CHECK_EQ(xv.shape(2), num_features_);
-  const int64_t batch = xv.shape(0);
-  const int64_t steps = xv.shape(1);
-
-  // [B, T, C] -> [B, T, C, 1] for broadcasting against [C, E] tables.
-  ag::Variable x4 = ag::Reshape(x, {batch, steps, num_features_, 1});
-
-  ag::Variable e;
-  const bool bi = variant_ == EmbeddingVariant::kBiDirectional ||
-                  variant_ == EmbeddingVariant::kBiDirectionalStar;
-  if (bi) {
-    const float inv_range = 1.0f / (upper_ - lower_);
-    // Interpolation weights (x' - a)/(b - a) and (b - x')/(b - a); values
-    // outside [a, b] extrapolate linearly, exactly as Eq. (2) prescribes.
-    ag::Variable wa = ag::MulScalar(ag::AddScalar(x4, -lower_), inv_range);
-    ag::Variable wb = ag::MulScalar(
-        ag::AddScalar(ag::MulScalar(x4, -1.0f), upper_), inv_range);
-    e = ag::Add(ag::Mul(wa, v_lower_), ag::Mul(wb, v_upper_));
-  } else {
-    e = ag::Mul(x4, v_linear_);
-  }
-
-  // Star variants: a standardised zero gets the all-ones vector instead
-  // (value-dependent routing; the selector itself is not differentiated).
-  if (variant_ == EmbeddingVariant::kBiDirectionalStar ||
-      variant_ == EmbeddingVariant::kFmLinearStar) {
-    Tensor zero_sel =
-        EqualScalar(xv, 0.0f, 1e-6f).Reshape({batch, steps, num_features_, 1});
-    ag::Variable keep = ag::Constant(
-        Sub(Tensor::Ones(zero_sel.shape()), zero_sel));
-    e = ag::Add(ag::Mul(e, keep), ag::Constant(zero_sel));
-  }
-
-  if (use_missing_embedding_) {
-    ELDA_CHECK(never.defined());
-    ag::Variable never_v = ag::Constant(never);
-    ag::Variable keep_v = ag::Constant(
-        Sub(Tensor::Ones(never.shape()), never));
-    e = ag::Add(ag::Mul(e, keep_v), ag::Mul(never_v, v_missing_));
-  }
-  return e;
+  if (use_missing_embedding_) ELDA_CHECK(never.defined());
+  // One fused op (ag::BiDirectionalEmbedding): Eq. 2's interpolation (or
+  // the FM product), the star variants' all-ones vector at a standardised
+  // zero (a value-dependent routing whose selector is not differentiated),
+  // then V_m for never-observed features.
+  EmbeddingSpec spec;
+  spec.bi = variant_ == EmbeddingVariant::kBiDirectional ||
+            variant_ == EmbeddingVariant::kBiDirectionalStar;
+  spec.star = variant_ == EmbeddingVariant::kBiDirectionalStar ||
+              variant_ == EmbeddingVariant::kFmLinearStar;
+  spec.lower = lower_;
+  spec.upper = upper_;
+  return ag::BiDirectionalEmbedding(
+      xv, spec.bi ? v_lower_ : v_linear_, v_upper_,
+      use_missing_embedding_ ? v_missing_ : ag::Variable(),
+      use_missing_embedding_ ? never : Tensor(), spec);
 }
 
 }  // namespace core

@@ -21,6 +21,11 @@
 //   kBiDirectionalStar e = all-ones when x' == 0 (breaks continuity; -F_bi*).
 //   kFmLinear          e = V[i] * x'_i                    (-F_fm).
 //   kFmLinearStar      as kFmLinear but all-ones at x'==0 (-F_fm*).
+//
+// Every variant runs as one fused autograd op, ag::BiDirectionalEmbedding:
+// one tape node and no [B, T, C, E] temporaries, bitwise equal to the
+// composed broadcast chain it replaced (kept in tests/core_test.cc as the
+// oracle). The input x is a constant: the op forms no dx.
 
 #ifndef ELDA_CORE_EMBEDDING_H_
 #define ELDA_CORE_EMBEDDING_H_
@@ -52,8 +57,8 @@ class BiDirectionalEmbedding : public nn::Module {
                          EmbeddingVariant variant, float lower, float upper,
                          bool use_missing_embedding, Rng* rng);
 
-  // x: [B, T, C] standardised values; mask: [B, T, C] observation mask.
-  // Returns embeddings [B, T, C, E].
+  // x: [B, T, C] standardised values (a constant, no gradient); mask:
+  // [B, T, C] observation mask. Returns embeddings [B, T, C, E].
   ag::Variable Forward(const ag::Variable& x, const Tensor& mask) const;
 
   // Like Forward, but with the never-observed indicator supplied by the
@@ -61,7 +66,7 @@ class BiDirectionalEmbedding : public nn::Module {
   // observed anywhere in the window (may be undefined when the module does
   // not use V_m). The streaming path maintains this indicator per session
   // instead of rescanning a window's mask; Forward computes it from `mask`
-  // and delegates here, so both paths run the same ops (bitwise).
+  // and delegates here, so both paths run the same op (bitwise).
   ag::Variable ForwardWithNever(const ag::Variable& x,
                                 const Tensor& never) const;
 

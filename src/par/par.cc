@@ -180,6 +180,14 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   const int64_t max_chunks = (n + g - 1) / g;
   int64_t threads = NumThreads();
   if (max_threads > 0) threads = std::min(threads, max_threads);
+  if (max_chunks == 1 && max_threads != 1 && !InParallelRegion()) {
+    // A single chunk has no concurrency to protect: run it inline without
+    // marking a parallel region, so the kernels it calls still reach the
+    // pool. (max_threads == 1 is a cap on them and keeps the region.)
+    g_inline_runs.fetch_add(1, std::memory_order_relaxed);
+    fn(begin, end);
+    return;
+  }
   threads = std::min(threads, max_chunks);
   if (threads <= 1 || InParallelRegion()) {
     // Exact serial fallback: one chunk over the whole range, same functor.

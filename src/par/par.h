@@ -137,7 +137,9 @@ Pool& GlobalPool();
 // and runs fn(chunk_begin, chunk_end) for each, possibly concurrently.
 // Runs fn(begin, end) inline when the effective thread count is 1, the
 // range fits in one grain, or the caller is already inside a parallel
-// region. `max_threads` caps the thread count for this call only
+// region. A range that fits in one grain does not mark a parallel region
+// (unless max_threads == 1), so the kernels it calls may still use the
+// pool. `max_threads` caps the thread count for this call only
 // (0 = use the global setting).
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn,

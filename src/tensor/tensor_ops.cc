@@ -1294,9 +1294,101 @@ struct Operand {
   int64_t ps;
 };
 
-// kRows x kWidth outputs kept in registers across the whole p loop:
-// out[r * ldo + j] = sum_p a(r, p) * b[p * ldb + j], each one strict-p
-// std::fma chain from +0 (GemmReference).
+// Tile products: out[r * ldo + j] = sum_{p < k} a(r, p) * b[p * ldb + j],
+// each output one strict-p fma chain from +0 (GemmReference). Rows run in
+// blocks of up to kProductRows, so each pass over b feeds that many rows'
+// chains; per-element order never depends on the blocking.
+constexpr int64_t kProductRows = 4;
+
+#if defined(__AVX512F__) && defined(__FMA__)
+
+// Columns run up to kProductVecs zmm vectors at a time: a 4 x 3 block
+// keeps 12 independent accumulators in registers across the whole p loop.
+// The last vector is masked to the column tail (masked-off lanes load as
+// zero and are never stored).
+constexpr int64_t kProductLanes = 16;
+constexpr int64_t kProductVecs = 3;
+
+// One output row's accumulators: acc[v] += av * bv[v].
+template <int64_t kVecs>
+inline __attribute__((always_inline)) void FmaRow(float av, const __m512* bv,
+                                                  __m512* acc) {
+  const __m512 avv = _mm512_set1_ps(av);
+  for (int64_t v = 0; v < kVecs; ++v) {
+    acc[v] = _mm512_fmadd_ps(avv, bv[v], acc[v]);
+  }
+}
+
+template <int64_t kVecs>
+inline __attribute__((always_inline)) void StoreRow(const __m512* acc,
+                                                    float* out,
+                                                    __mmask16 tail) {
+  for (int64_t v = 0; v + 1 < kVecs; ++v) {
+    _mm512_storeu_ps(out + v * kProductLanes, acc[v]);
+  }
+  _mm512_mask_storeu_ps(out + (kVecs - 1) * kProductLanes, tail,
+                        acc[kVecs - 1]);
+}
+
+// One accumulator array per row: GCC keeps each small array in registers,
+// while a single [kRows][kVecs] array past ~256 bytes is written back to
+// the stack on every p step.
+template <int64_t kRows, int64_t kVecs>
+void ProductBlock(Operand a, const float* __restrict__ b, int64_t ldb,
+                  int64_t k, float* __restrict__ out, int64_t ldo,
+                  __mmask16 tail) {
+  static_assert(kRows >= 1 && kRows <= 4);
+  __m512 c0[kVecs], c1[kVecs], c2[kVecs], c3[kVecs];
+  for (int64_t v = 0; v < kVecs; ++v) {
+    c0[v] = c1[v] = c2[v] = c3[v] = _mm512_setzero_ps();
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float* row = b + p * ldb;
+    __m512 bv[kVecs];
+    for (int64_t v = 0; v + 1 < kVecs; ++v) {
+      bv[v] = _mm512_loadu_ps(row + v * kProductLanes);
+    }
+    bv[kVecs - 1] =
+        _mm512_maskz_loadu_ps(tail, row + (kVecs - 1) * kProductLanes);
+    const float* ap = a.data + p * a.ps;
+    FmaRow<kVecs>(ap[0], bv, c0);
+    if constexpr (kRows > 1) FmaRow<kVecs>(ap[a.rs], bv, c1);
+    if constexpr (kRows > 2) FmaRow<kVecs>(ap[2 * a.rs], bv, c2);
+    if constexpr (kRows > 3) FmaRow<kVecs>(ap[3 * a.rs], bv, c3);
+  }
+  StoreRow<kVecs>(c0, out, tail);
+  if constexpr (kRows > 1) StoreRow<kVecs>(c1, out + ldo, tail);
+  if constexpr (kRows > 2) StoreRow<kVecs>(c2, out + 2 * ldo, tail);
+  if constexpr (kRows > 3) StoreRow<kVecs>(c3, out + 3 * ldo, tail);
+}
+
+template <int64_t kRows>
+void ProductRows(Operand a, const float* b, int64_t ldb, int64_t k, int64_t n,
+                 float* out, int64_t ldo) {
+  constexpr int64_t kBlock = kProductVecs * kProductLanes;
+  for (int64_t j = 0; j < n; j += kBlock) {
+    const int64_t width = std::min(kBlock, n - j);
+    const int64_t vecs = (width + kProductLanes - 1) / kProductLanes;
+    const int64_t last = width - (vecs - 1) * kProductLanes;
+    const __mmask16 tail = static_cast<__mmask16>((1u << last) - 1u);
+    switch (vecs) {
+      case 3:
+        ProductBlock<kRows, 3>(a, b + j, ldb, k, out + j, ldo, tail);
+        break;
+      case 2:
+        ProductBlock<kRows, 2>(a, b + j, ldb, k, out + j, ldo, tail);
+        break;
+      default:
+        ProductBlock<kRows, 1>(a, b + j, ldb, k, out + j, ldo, tail);
+        break;
+    }
+  }
+}
+
+#else
+
+// Portable blocks: the same per-element chains over plain arrays; the
+// compiler vectorises the lanes as far as the target allows.
 template <int64_t kRows, int64_t kWidth>
 void ProductBlock(Operand a, const float* b, int64_t ldb, int64_t k,
                   float* out, int64_t ldo) {
@@ -1319,15 +1411,8 @@ template <int64_t kRows>
 void ProductRows(Operand a, const float* b, int64_t ldb, int64_t k, int64_t n,
                  float* out, int64_t ldo) {
   int64_t j = 0;
-  for (; j + 32 <= n; j += 32) {
-    ProductBlock<kRows, 32>(a, b + j, ldb, k, out + j, ldo);
-  }
-  if (j + 24 <= n) {
-    ProductBlock<kRows, 24>(a, b + j, ldb, k, out + j, ldo);
-    j += 24;
-  } else if (j + 16 <= n) {
+  for (; j + 16 <= n; j += 16) {
     ProductBlock<kRows, 16>(a, b + j, ldb, k, out + j, ldo);
-    j += 16;
   }
   if (j + 8 <= n) {
     ProductBlock<kRows, 8>(a, b + j, ldb, k, out + j, ldo);
@@ -1344,51 +1429,60 @@ void ProductRows(Operand a, const float* b, int64_t ldb, int64_t k, int64_t n,
   }
 }
 
-// out[r * ldo + j] = sum_{p < k} a(r, p) * b[p * ldb + j] for r < rows and
-// j < n. Two rows share each pass over b, so their chains interleave.
+#endif
+
+// Product over `rows` rows of a: 4-row blocks, then one block of the
+// remaining 1–3 rows.
 void Product(Operand a, int64_t rows, const float* b, int64_t ldb, int64_t k,
              int64_t n, float* out, int64_t ldo) {
   int64_t r = 0;
-  for (; r + 2 <= rows; r += 2) {
-    ProductRows<2>({a.data + r * a.rs, a.rs, a.ps}, b, ldb, k, n,
-                   out + r * ldo, ldo);
+  for (; r + kProductRows <= rows; r += kProductRows) {
+    ProductRows<kProductRows>({a.data + r * a.rs, a.rs, a.ps}, b, ldb, k, n,
+                              out + r * ldo, ldo);
   }
-  if (r < rows) {
-    ProductRows<1>({a.data + r * a.rs, a.rs, a.ps}, b, ldb, k, n,
-                   out + r * ldo, ldo);
+  const Operand rest{a.data + r * a.rs, a.rs, a.ps};
+  switch (rows - r) {
+    case 3:
+      ProductRows<3>(rest, b, ldb, k, n, out + r * ldo, ldo);
+      break;
+    case 2:
+      ProductRows<2>(rest, b, ldb, k, n, out + r * ldo, ldo);
+      break;
+    case 1:
+      ProductRows<1>(rest, b, ldb, k, n, out + r * ldo, ldo);
+      break;
+    default:
+      break;
   }
 }
 
 // Per-thread scratch for one tile. Feature-indexed rows are padded to
-// cp = C rounded up to 8 lanes; the pad lanes of eᵀ and rᵀ stay zero, so
-// whole 8-lane blocks can run over them (their outputs are never read).
+// cp = C rounded up to 8 lanes; the pad lanes of eᵀ stay zero, so whole
+// 8-lane blocks can run over them (their outputs are never read).
 struct TileScratch {
-  TileScratch(int64_t c, int64_t e, int64_t d)
+  TileScratch(int64_t c, int64_t e)
       : cp((c + 7) & ~int64_t{7}),
-        buf(3 * e * cp + c * cp + 2 * c * e + d * cp),
+        buf(e * cp + c * cp + 4 * c * e),
         et(buf.data()),
-        rt(et + e * cp),
-        alpha(rt + 2 * e * cp),
+        alpha(et + e * cp),
         u(alpha + c * cp),
         wt(u + c * e),
-        ft(wt + c * e) {
-    std::memset(buf.data(), 0, static_cast<size_t>(3 * e * cp) * sizeof(float));
+        relu(wt + c * e) {
+    std::memset(buf.data(), 0, static_cast<size_t>(e * cp) * sizeof(float));
   }
   const int64_t cp;
   mem::ScopedBuffer buf;
   float* et;     // [E, cp] eᵀ
-  float* rt;     // [2E, cp] relu([e ; c])ᵀ
   float* alpha;  // [C, cp] scores, then α in place
   float* u;      // [C, E] W ⊙ e
   float* wt;     // [C, E] α e
-  float* ft;     // [D, cp] fᵀ
+  float* relu;   // [C, 2E] relu([e ; c]) when the caller keeps no slab
 };
 
-// The forward chain of one tile ev [C, E] up to relu([e ; e ⊙ α e]), left
-// transposed in s->rt (and row-major [C, 2E] in `r` when non-null), with
-// eᵀ, u, α and α e in `s`.
+// The forward chain of one tile ev [C, E] up to relu([e ; e ⊙ α e]),
+// written row-major [C, 2E] to `r`, with eᵀ, u, α and α e left in `s`.
 void TileForward(const float* ev, const float* w, const float* b, int64_t C,
-                 int64_t E, TileScratch* s, float* r) {
+                 int64_t E, TileScratch* s, float* __restrict__ r) {
   const int64_t cp = s->cp;
   for (int64_t i = 0; i < C * E; ++i) s->u[i] = ev[i] * w[i];
   for (int64_t j = 0; j < C; ++j) {
@@ -1407,17 +1501,46 @@ void TileForward(const float* ev, const float* w, const float* b, int64_t C,
   }
   Product({s->alpha, cp, 1}, C, ev, E, C, E, s->wt, E);
   for (int64_t i = 0; i < C; ++i) {
-    const float* erow = ev + i * E;
-    const float* wrow = s->wt + i * E;
+    const float* __restrict__ erow = ev + i * E;
+    const float* __restrict__ wrow = s->wt + i * E;
+    float* __restrict__ rrow = r + i * 2 * E;
     for (int64_t k = 0; k < E; ++k) {
       const float context = erow[k] * wrow[k];
-      s->rt[k * cp + i] = erow[k] > 0.0f ? erow[k] : 0.0f;
-      s->rt[(E + k) * cp + i] = context > 0.0f ? context : 0.0f;
+      rrow[k] = erow[k] > 0.0f ? erow[k] : 0.0f;
+      rrow[E + k] = context > 0.0f ? context : 0.0f;
     }
   }
-  if (r != nullptr) {
-    for (int64_t i = 0; i < C; ++i) {
-      for (int64_t k = 0; k < 2 * E; ++k) r[i * 2 * E + k] = s->rt[k * cp + i];
+}
+
+// Backward through the relu and c = e ⊙ (α e) for one tile: dwt = d(α e)
+// and, when de is non-null, de's first two terms. The relu mask is the
+// product x * float(r > 0) — the composed graph's Mul by GreaterThanScalar,
+// NaN and −0 included — written branch-free so the loops vectorise.
+void ReluMaskBackward(const float* __restrict__ dr,
+                      const float* __restrict__ r,
+                      const float* __restrict__ ev,
+                      const float* __restrict__ wt, int64_t C, int64_t E,
+                      float* __restrict__ dwt, float* __restrict__ de) {
+  const int64_t K = 2 * E;
+  for (int64_t i = 0; i < C; ++i) {
+    const float* __restrict__ drow = dr + i * K;
+    const float* __restrict__ rrow = r + i * K;
+    const float* __restrict__ erow = ev + i * E;
+    float* __restrict__ dwrow = dwt + i * E;
+    if (de == nullptr) {
+      for (int64_t k = 0; k < E; ++k) {
+        const float dctx =
+            drow[E + k] * static_cast<float>(rrow[E + k] > 0.0f);
+        dwrow[k] = dctx * erow[k];
+      }
+      continue;
+    }
+    const float* __restrict__ wrow = wt + i * E;
+    float* __restrict__ derow = de + i * E;
+    for (int64_t k = 0; k < E; ++k) {
+      const float dctx = drow[E + k] * static_cast<float>(rrow[E + k] > 0.0f);
+      dwrow[k] = dctx * erow[k];
+      derow[k] = drow[k] * static_cast<float>(rrow[k] > 0.0f) + dctx * wrow[k];
     }
   }
 }
@@ -1445,22 +1568,18 @@ Tensor FeatureInteractionTile(const Tensor& e, const Tensor& w,
   float* po = out.data();
   par::ParallelFor(
       0, ts.n, par::BalancedGrain(ts.n, 1), [&](int64_t n0, int64_t n1) {
-        TileScratch s(C, E, D);
+        TileScratch s(C, E);
         for (int64_t n = n0; n < n1; ++n) {
-          TileForward(pe + n * C * E, pw, pb, C, E, &s, nullptr);
+          TileForward(pe + n * C * E, pw, pb, C, E, &s, s.relu);
           if (pa != nullptr) {
             for (int64_t i = 0; i < C; ++i) {
               std::memcpy(pa + (n * C + i) * C, s.alpha + i * s.cp,
                           static_cast<size_t>(C) * sizeof(float));
             }
           }
-          // fᵀ = pᵀ relu([e ; c])ᵀ: each f[i, q] is still the strict-k chain
-          // of relu row i against p column q.
-          Product({pp, 1, D}, D, s.rt, s.cp, K, s.cp, s.ft, s.cp);
-          float* f = po + n * C * D;
-          for (int64_t i = 0; i < C; ++i) {
-            for (int64_t q = 0; q < D; ++q) f[i * D + q] = s.ft[q * s.cp + i];
-          }
+          // f = relu([e ; c]) p: each f[i, q] the strict-k chain of relu
+          // row i against p column q.
+          Product({s.relu, K, 1}, C, pp, D, K, D, po + n * C * D, D);
         }
       });
   return out;
@@ -1489,7 +1608,7 @@ FeatureInteractionTileGrads FeatureInteractionTileBackward(
   float* pds = dscores.data();
   float* pr = relu.data();
   par::ParallelFor(0, N, par::BalancedGrain(N, 1), [&](int64_t n0, int64_t n1) {
-    TileScratch s(C, E, D);
+    TileScratch s(C, E);
     const int64_t cp = s.cp;
     mem::ScopedBuffer grad_buf(C * K + C * cp + 4 * C * E);
     float* dr = grad_buf.data();  // [C, 2E] d relu([e ; c])
@@ -1508,20 +1627,7 @@ FeatureInteractionTileGrads FeatureInteractionTileBackward(
       // then dα and the softmax. de starts as its concat slice plus the
       // context term: the first two of e's five uses.
       Product({pg + n * C * D, D, 1}, C, ppt, K, D, K, dr, K);
-      for (int64_t i = 0; i < C; ++i) {
-        const float* drow = dr + i * K;
-        const float* rrow = r + i * K;
-        const float* erow = ev + i * E;
-        const float* wrow = s.wt + i * E;
-        for (int64_t k = 0; k < E; ++k) {
-          const float dctx = drow[E + k] * (rrow[E + k] > 0.0f ? 1.0f : 0.0f);
-          dwt[i * E + k] = dctx * erow[k];
-          if (de != nullptr) {
-            de[i * E + k] =
-                drow[k] * (rrow[k] > 0.0f ? 1.0f : 0.0f) + dctx * wrow[k];
-          }
-        }
-      }
+      ReluMaskBackward(dr, r, ev, s.wt, C, E, dwt, de);
       Product({dwt, E, 1}, C, s.et, cp, E, cp, da, cp);
       for (int64_t i = 0; i < C; ++i) {
         simd::SoftmaxGradRow(da + i * cp, s.alpha + i * cp, ds + i * C, C);
@@ -1549,6 +1655,206 @@ FeatureInteractionTileGrads FeatureInteractionTileBackward(
   grads.db = ReduceToShape(dscores, {C, 1}).Reshape({C});
   grads.dp = Transpose(
       MatMul(g.Reshape({N * C, D}), relu.Reshape({N * C, K}), true, false));
+  return grads;
+}
+
+namespace {
+
+struct EmbeddingDims {
+  int64_t b, t, c;
+};
+
+EmbeddingDims CheckEmbeddingInputs(const Tensor& x, const Tensor& never) {
+  ELDA_CHECK_EQ(x.dim(), 3) << ShapeToString(x.shape());
+  const EmbeddingDims d{x.shape(0), x.shape(1), x.shape(2)};
+  if (never.defined()) {
+    ELDA_CHECK(never.shape() == (std::vector<int64_t>{d.b, 1, d.c, 1}))
+        << ShapeToString(never.shape());
+  }
+  return d;
+}
+
+// Eq. 2's interpolation weights for one value, as the composed chain forms
+// them: AddScalar(x, -a) then MulScalar by 1 / (b - a), and MulScalar(x, -1)
+// then AddScalar(b) then the same MulScalar.
+void AnchorWeights(float x, const EmbeddingSpec& spec, float* wa, float* wb) {
+  const float inv_range = 1.0f / (spec.upper - spec.lower);
+  *wa = (x + -spec.lower) * inv_range;
+  *wb = ((x * -1.0f) + spec.upper) * inv_range;
+}
+
+// The star variants' zero selector: EqualScalar(x, 0, 1e-6).
+float ZeroSelector(float x) {
+  return std::fabs(x - 0.0f) <= 1e-6f ? 1.0f : 0.0f;
+}
+
+}  // namespace
+
+Tensor BiDirectionalEmbedding(const Tensor& x, const Tensor& va,
+                              const Tensor& vb, const Tensor& vm,
+                              const Tensor& never, const EmbeddingSpec& spec) {
+  ELDA_PROF_SCOPE("BiDirectionalEmbedding");
+  const EmbeddingDims d = CheckEmbeddingInputs(x, never);
+  const int64_t T = d.t, C = d.c, E = va.shape(-1);
+  ELDA_CHECK(va.shape() == (std::vector<int64_t>{C, E}))
+      << ShapeToString(va.shape());
+  ELDA_CHECK_EQ(spec.bi, vb.defined());
+  if (spec.bi) ELDA_CHECK(vb.shape() == va.shape());
+  const bool with_vm = vm.defined();
+  ELDA_CHECK_EQ(with_vm, never.defined());
+  if (with_vm) ELDA_CHECK(vm.shape() == va.shape());
+  const int64_t rows = d.b * T;
+  // The composed chain's [B, T, C, E] passes: the table products and their
+  // sum (or the FM product), plus a multiply and an add per star / V_m stage.
+  const int64_t passes =
+      (spec.bi ? 3 : 1) + (spec.star ? 2 : 0) + (with_vm ? 2 : 0);
+  prof::RecordFusion(passes - 1, (passes - 1) * rows * C * E * kFloatBytes);
+  Tensor out = Tensor::Empty({d.b, T, C, E});
+  const float* px = x.data();
+  const float* pva = va.data();
+  const float* pvb = spec.bi ? vb.data() : nullptr;
+  const float* pvm = with_vm ? vm.data() : nullptr;
+  const float* pn = with_vm ? never.data() : nullptr;
+  float* po = out.data();
+  const int64_t grain =
+      std::max<int64_t>(1, par::kElementGrain / std::max<int64_t>(1, C * E));
+  par::ParallelFor(0, rows, grain, [&](int64_t n0, int64_t n1) {
+    for (int64_t n = n0; n < n1; ++n) {
+      for (int64_t c = 0; c < C; ++c) {
+        const float xv = px[n * C + c];
+        const float* __restrict__ a = pva + c * E;
+        float* __restrict__ o = po + (n * C + c) * E;
+        if (spec.bi) {
+          float wa, wb;
+          AnchorWeights(xv, spec, &wa, &wb);
+          const float* __restrict__ b = pvb + c * E;
+          for (int64_t k = 0; k < E; ++k) o[k] = (wa * a[k]) + (wb * b[k]);
+        } else {
+          for (int64_t k = 0; k < E; ++k) o[k] = xv * a[k];
+        }
+        if (spec.star) {
+          const float sel = ZeroSelector(xv);
+          const float keep = 1.0f - sel;
+          for (int64_t k = 0; k < E; ++k) o[k] = (o[k] * keep) + sel;
+        }
+        if (with_vm) {
+          const float nv = pn[(n / T) * C + c];
+          const float keep = 1.0f - nv;
+          const float* __restrict__ m = pvm + c * E;
+          for (int64_t k = 0; k < E; ++k) o[k] = (o[k] * keep) + (nv * m[k]);
+        }
+      }
+    }
+  });
+  return out;
+}
+
+BiDirectionalEmbeddingGrads BiDirectionalEmbeddingBackward(
+    const Tensor& x, const Tensor& never, const Tensor& g,
+    const EmbeddingSpec& spec, bool want_va, bool want_vb, bool want_vm) {
+  ELDA_PROF_SCOPE("BiDirectionalEmbeddingGrad");
+  const EmbeddingDims d = CheckEmbeddingInputs(x, never);
+  const int64_t B = d.b, T = d.t, C = d.c;
+  ELDA_CHECK_EQ(g.dim(), 4);
+  const int64_t E = g.shape(3);
+  ELDA_CHECK(g.shape() == (std::vector<int64_t>{B, T, C, E}))
+      << ShapeToString(g.shape());
+  const bool with_vm = never.defined();
+  ELDA_CHECK(!want_vb || spec.bi);
+  ELDA_CHECK(!want_vm || with_vm);
+  BiDirectionalEmbeddingGrads grads;
+  if (B * T == 0) {
+    // An empty batch contributes zero gradients.
+    if (want_va) grads.dva = Tensor({C, E});
+    if (want_vb) grads.dvb = Tensor({C, E});
+    if (want_vm) grads.dvm = Tensor({C, E});
+    return grads;
+  }
+  if (want_va) grads.dva = Tensor::Empty({C, E});
+  if (want_vb) grads.dvb = Tensor::Empty({C, E});
+  if (want_vm) grads.dvm = Tensor::Empty({C, E});
+  const bool want_tables = want_va || want_vb;
+  const float* px = x.data();
+  const float* pn = with_vm ? never.data() : nullptr;
+  const float* pg = g.data();
+  // Features are independent, so chunks own a feature range and stream
+  // every (b, t) row of it: each gradient element is one thread's serial
+  // chain, whatever the partition. One range per thread keeps each row's
+  // slice long and contiguous.
+  const int64_t threads = par::NumThreads();
+  par::ParallelFor(0, C, (C + threads - 1) / threads, [&](int64_t c0,
+                                                          int64_t c1) {
+    const int64_t w = (c1 - c0) * E;
+    mem::ScopedBuffer buf(2 * T * w + 2 * w);
+    float* sa = buf.data();  // [T, w] per-t running sums over b, V_a products
+    float* sb = sa + T * w;  // [T, w] the same for V_b
+    float* gt = sb + T * w;  // [w] row b's sum of g over t
+    float* rm = gt + w;      // [w] running sum over b of gt * never
+    for (int64_t b = 0; b < B; ++b) {
+      for (int64_t t = 0; t < T; ++t) {
+        const int64_t n = b * T + t;
+        for (int64_t c = c0; c < c1; ++c) {
+          const int64_t off = (c - c0) * E;
+          const float* __restrict__ grow = pg + (n * C + c) * E;
+          if (want_vm) {
+            float* __restrict__ m = gt + off;
+            if (t == 0) {
+              for (int64_t k = 0; k < E; ++k) m[k] = grow[k];
+            } else {
+              for (int64_t k = 0; k < E; ++k) m[k] = m[k] + grow[k];
+            }
+          }
+          if (!want_tables) continue;
+          // The gradient reaching the table products is g * (1 - n), then
+          // * (1 - s); a stage the variant lacks multiplies by 1, exactly.
+          const float xv = px[n * C + c];
+          const float keep_n = with_vm ? 1.0f - pn[b * C + c] : 1.0f;
+          const float keep_s = spec.star ? 1.0f - ZeroSelector(xv) : 1.0f;
+          float wa = xv, wb = 0.0f;
+          if (spec.bi) AnchorWeights(xv, spec, &wa, &wb);
+          float* __restrict__ a = sa + t * w + off;
+          float* __restrict__ bb = sb + t * w + off;
+          if (b == 0) {
+            for (int64_t k = 0; k < E; ++k) {
+              const float gk = (grow[k] * keep_n) * keep_s;
+              a[k] = gk * wa;
+              bb[k] = gk * wb;
+            }
+          } else {
+            for (int64_t k = 0; k < E; ++k) {
+              const float gk = (grow[k] * keep_n) * keep_s;
+              a[k] = a[k] + gk * wa;
+              bb[k] = bb[k] + gk * wb;
+            }
+          }
+        }
+      }
+      if (want_vm) {
+        for (int64_t c = c0; c < c1; ++c) {
+          const float nv = pn[b * C + c];
+          const int64_t off = (c - c0) * E;
+          for (int64_t k = 0; k < E; ++k) {
+            const float p = gt[off + k] * nv;
+            rm[off + k] = b == 0 ? p : rm[off + k] + p;
+          }
+        }
+      }
+    }
+    // Then the sum over t, from t = 0's value.
+    auto fold_t = [&](const float* s, float* out) {
+      std::memcpy(out, s, static_cast<size_t>(w) * sizeof(float));
+      for (int64_t t = 1; t < T; ++t) {
+        const float* row = s + t * w;
+        for (int64_t i = 0; i < w; ++i) out[i] = out[i] + row[i];
+      }
+    };
+    if (want_va) fold_t(sa, grads.dva.data() + c0 * E);
+    if (want_vb) fold_t(sb, grads.dvb.data() + c0 * E);
+    if (want_vm) {
+      std::memcpy(grads.dvm.data() + c0 * E, rm,
+                  static_cast<size_t>(w) * sizeof(float));
+    }
+  });
   return grads;
 }
 

@@ -163,14 +163,19 @@ Tensor LstmGates(const Tensor& xw, const Tensor& hu, const Tensor& bias,
 // MatMul, Add, Add, Softmax, MatMul, Mul, Concat, Relu, MatMul) produces:
 // each product is a strict-k std::fma chain as in GemmReference, the bias
 // and diagonal adds stay two separate adds, and rows go through
-// simd::SoftmaxRow. `alpha_out`, when non-null, receives α as [..., C, C].
+// simd::SoftmaxRow. The products keep 4-row x 48-lane blocks of those
+// chains in registers (AVX-512F; a portable loop otherwise), which only
+// decides which chains run together. `alpha_out`, when non-null, receives
+// α as [..., C, C].
 Tensor FeatureInteractionTile(const Tensor& e, const Tensor& w,
                               const Tensor& b, const Tensor& p,
                               Tensor* alpha_out);
 
 // Gradients of FeatureInteractionTile for g = dL/df ([..., C*D]), in two
-// phases. A parallel per-tile pass recomputes α and writes de (only when
-// `want_de`), summing the five uses of e in the composed tape's order. It
+// phases. A parallel per-tile pass recomputes α (cheaper than keeping it on
+// the tape: see DESIGN.md) and writes de (only when `want_de`), summing the
+// five uses of e in the composed tape's order; its relu masks multiply by
+// float(r > 0), branch-free, as the composed Mul by GreaterThanScalar. It
 // also fills three transient slabs: du ⊙ e [N, C, E], dscores [N, C, C] and
 // relu([e ; c]) [N, C, 2E]. ReduceToShape and MatMul(..., true, false) then
 // reduce the slabs into dw, db and dp, so each parameter gradient keeps the
@@ -184,6 +189,42 @@ struct FeatureInteractionTileGrads {
 FeatureInteractionTileGrads FeatureInteractionTileBackward(
     const Tensor& e, const Tensor& w, const Tensor& b, const Tensor& p,
     const Tensor& g, bool want_de);
+
+// -- Bi-directional embedding (paper Eq. 2) ----------------------------------------
+//
+// The whole embedding of core::BiDirectionalEmbedding in one pass, for
+// x [B, T, C] (a constant: no dx) and [C, E] tables:
+//   bi:    wa = (x + -a) / (b - a), wb = (x * -1 + b) / (b - a),
+//          e = wa V_a + wb V_b;              (fm: e = x V, V passed as va)
+//   star:  s = [|x| <= 1e-6];  e = e (1 - s) + s;
+//   V_m:   n = never [B, 1, C, 1];  e = e (1 - n) + n V_m.
+// Every float equals the one the composed broadcast chain (AddScalar,
+// MulScalar, Mul, Add, EqualScalar, Sub) produces, operand order included;
+// the division is the chain's multiply by 1 / (b - a). vb is undefined for
+// the FM variants, vm and never when V_m is off. Returns [B, T, C, E].
+struct EmbeddingSpec {
+  bool bi = true;     // interpolate V_a and V_b (false: FM, e = x V)
+  bool star = false;  // x == 0 maps to the all-ones vector
+  float lower = -3.0f;
+  float upper = 3.0f;
+};
+Tensor BiDirectionalEmbedding(const Tensor& x, const Tensor& va,
+                              const Tensor& vb, const Tensor& vm,
+                              const Tensor& never, const EmbeddingSpec& spec);
+
+// Gradients of BiDirectionalEmbedding for g = dL/de ([B, T, C, E]), each in
+// the composed tape's summation order: dV_a, dV_b (and the FM dV) sum the
+// per-element products over b from b = 0's value, then over t; dV_m sums g
+// over t per row, multiplies by never, then sums over b. Only the requested
+// gradients are formed.
+struct BiDirectionalEmbeddingGrads {
+  Tensor dva;  // [C, E]; dV for the FM variants
+  Tensor dvb;  // [C, E]
+  Tensor dvm;  // [C, E]
+};
+BiDirectionalEmbeddingGrads BiDirectionalEmbeddingBackward(
+    const Tensor& x, const Tensor& never, const Tensor& g,
+    const EmbeddingSpec& spec, bool want_va, bool want_vb, bool want_vm);
 
 // -- Reductions --------------------------------------------------------------------
 

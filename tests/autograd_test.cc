@@ -8,6 +8,7 @@
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "gtest/gtest.h"
+#include "mem/pool.h"
 #include "tensor/tensor_ops.h"
 
 namespace elda {
@@ -87,6 +88,50 @@ TEST(VariableTest, GraphPruningWithoutGradParents) {
   Variable b = Constant(Tensor::FromData({2}, {3, 4}));
   Variable c = Mul(a, b);
   EXPECT_FALSE(c.requires_grad());
+}
+
+// Buffers (every pool tier) acquired by one Backward of `loss`.
+int64_t BackwardAcquires(const Variable& loss) {
+  auto total = [] {
+    const mem::PoolStats s = mem::Pool::Global().Stats();
+    return s.acquires + s.small_acquires + s.huge_acquires;
+  };
+  const int64_t before = total();
+  loss.Backward();
+  return total() - before;
+}
+
+TEST(VariableTest, ConstantOperandsGetNoGradientProducts) {
+  // Backward forms no gradient product for an operand that takes no
+  // gradient. Against a second parameter, the constant saves exactly that
+  // parameter's product(s) and its gradient copy.
+  using BinaryOp = Variable (*)(const Variable&, const Variable&);
+  const struct {
+    const char* name;
+    BinaryOp op;
+    bool constant_left;
+    int64_t saved;
+  } kCases[] = {
+      {"Mul(a, c)", Mul, false, 2}, {"Mul(c, a)", Mul, true, 2},
+      {"Sub(a, c)", Sub, false, 2},  // Neg(g)
+      {"Div(a, c)", Div, false, 5},  // Neg(Div(Mul(g, a), Mul(c, c)))
+      {"Div(c, a)", Div, true, 2},   // Div(g, a)
+  };
+  for (const auto& test : kCases) {
+    SCOPED_TRACE(test.name);
+    auto loss = [&](bool constant) {
+      Variable a = Param({64, 64}, 1);
+      Variable other = Param({64, 64}, 2, 0.5f);
+      Variable c = constant ? other.Detach() : other;
+      const Variable out = test.constant_left ? test.op(c, a) : test.op(a, c);
+      const int64_t acquires = BackwardAcquires(SumAll(out));
+      EXPECT_TRUE(a.has_grad());
+      EXPECT_EQ(c.has_grad(), !constant);
+      return acquires;
+    };
+    const int64_t both = loss(false);
+    EXPECT_EQ(both - loss(true), test.saved);
+  }
 }
 
 TEST(VariableDeathTest, BackwardRequiresScalar) {

@@ -29,6 +29,12 @@ ag::Variable RandomInput(std::vector<int64_t> shape, uint64_t seed,
 
 Tensor FullMask(std::vector<int64_t> shape) { return Tensor::Ones(shape); }
 
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
 // ---- Bi-directional embedding -------------------------------------------------
 
 TEST(EmbeddingTest, OutputShape) {
@@ -191,6 +197,210 @@ TEST(EmbeddingTest, GradCheckBiVariant) {
       << error;
 }
 
+// The composed Eq. 2 op chain that ag::BiDirectionalEmbedding replaced,
+// kept verbatim (with the tables passed in) as the fused op's bitwise
+// oracle.
+ag::Variable ComposedBiDirectionalEmbedding(const Tensor& xv,
+                                            const ag::Variable& va,
+                                            const ag::Variable& vb,
+                                            const ag::Variable& vm,
+                                            const Tensor& never,
+                                            const EmbeddingSpec& spec) {
+  const int64_t batch = xv.shape(0);
+  const int64_t steps = xv.shape(1);
+  const int64_t num_features = xv.shape(2);
+  ag::Variable x4 =
+      ag::Reshape(ag::Constant(xv), {batch, steps, num_features, 1});
+  ag::Variable e;
+  if (spec.bi) {
+    const float inv_range = 1.0f / (spec.upper - spec.lower);
+    ag::Variable wa = ag::MulScalar(ag::AddScalar(x4, -spec.lower), inv_range);
+    ag::Variable wb = ag::MulScalar(
+        ag::AddScalar(ag::MulScalar(x4, -1.0f), spec.upper), inv_range);
+    e = ag::Add(ag::Mul(wa, va), ag::Mul(wb, vb));
+  } else {
+    e = ag::Mul(x4, va);
+  }
+  if (spec.star) {
+    Tensor zero_sel =
+        EqualScalar(xv, 0.0f, 1e-6f).Reshape({batch, steps, num_features, 1});
+    ag::Variable keep =
+        ag::Constant(Sub(Tensor::Ones(zero_sel.shape()), zero_sel));
+    e = ag::Add(ag::Mul(e, keep), ag::Constant(zero_sel));
+  }
+  if (vm.defined()) {
+    ag::Variable never_v = ag::Constant(never);
+    ag::Variable keep_v =
+        ag::Constant(Sub(Tensor::Ones(never.shape()), never));
+    e = ag::Add(ag::Mul(e, keep_v), ag::Mul(never_v, vm));
+  }
+  return e;
+}
+
+using EmbeddingFn = ag::Variable (*)(const Tensor&, const ag::Variable&,
+                                     const ag::Variable&, const ag::Variable&,
+                                     const Tensor&, const EmbeddingSpec&);
+
+struct EmbeddingRun {
+  Tensor e, dva, dvb, dvm;
+};
+
+// One forward of `fn` on fresh table leaves (vb / vm undefined when
+// absent), then a backward of sum(e ⊙ cotangent).
+EmbeddingRun RunEmbedding(EmbeddingFn fn, const Tensor& x, const Tensor& va,
+                          const Tensor& vb, const Tensor& vm,
+                          const Tensor& never, const EmbeddingSpec& spec,
+                          const Tensor& cotangent) {
+  ag::Variable a(va, true);
+  ag::Variable b = vb.defined() ? ag::Variable(vb, true) : ag::Variable();
+  ag::Variable m = vm.defined() ? ag::Variable(vm, true) : ag::Variable();
+  EmbeddingRun run;
+  ag::Variable e = fn(x, a, b, m, never, spec);
+  run.e = e.value();
+  ag::SumAll(ag::Mul(e, ag::Constant(cotangent))).Backward();
+  run.dva = a.grad();
+  if (b.defined()) run.dvb = b.grad();
+  if (m.defined()) run.dvm = m.grad();
+  return run;
+}
+
+// Standardised values with the cases the chain distinguishes: exact and
+// near zeros (the star selector and its tolerance), −0, values outside the
+// anchors [a, b].
+Tensor EmbeddingInput(std::vector<int64_t> shape, uint64_t seed) {
+  Rng rng(seed);
+  Tensor x = Tensor::Normal(std::move(shape), 0.0f, 2.0f, &rng);
+  const float specials[] = {0.0f, -0.0f, 5e-7f, -2e-6f, -3.0f, 3.0f, 7.5f};
+  for (int64_t i = 0; i < x.size(); i += 5) {
+    x[i] = specials[(i / 5) % (sizeof(specials) / sizeof(float))];
+  }
+  return x;
+}
+
+TEST(EmbeddingTest, FusedMatchesComposedChainBitwise) {
+  constexpr int64_t kE = 24;
+  // [B, T, C]: a small window, a training-shaped batch, and the packed
+  // sweep's [tiles, 1, C] chunks.
+  const std::vector<int64_t> shapes[] = {{2, 3, 5}, {64, 48, 37}, {300, 1, 37}};
+  const EmbeddingVariant variants[] = {
+      EmbeddingVariant::kBiDirectional, EmbeddingVariant::kBiDirectionalStar,
+      EmbeddingVariant::kFmLinear, EmbeddingVariant::kFmLinearStar};
+  for (const std::vector<int64_t>& shape : shapes) {
+    const int64_t B = shape[0], C = shape[2];
+    const Tensor x = EmbeddingInput(shape, 70 + static_cast<uint64_t>(B));
+    // A ragged never: each row leaves a different feature subset unseen.
+    Rng never_rng(71);
+    Tensor never({B, 1, C, 1});
+    for (int64_t i = 0; i < never.size(); ++i) {
+      never[i] = never_rng.Bernoulli(0.3) ? 1.0f : 0.0f;
+    }
+    Rng rng(72);
+    const Tensor cotangent =
+        Tensor::Normal({shape[0], shape[1], C, kE}, 0.0f, 1.0f, &rng);
+    const Tensor va = Tensor::Uniform({C, kE}, -0.7f, 0.7f, &rng);
+    const Tensor vb = Tensor::Uniform({C, kE}, -0.7f, 0.7f, &rng);
+    const Tensor vm = Tensor::Uniform({C, kE}, -0.7f, 0.7f, &rng);
+    for (const EmbeddingVariant variant : variants) {
+      EmbeddingSpec spec;
+      spec.bi = variant == EmbeddingVariant::kBiDirectional ||
+                variant == EmbeddingVariant::kBiDirectionalStar;
+      spec.star = variant == EmbeddingVariant::kBiDirectionalStar ||
+                  variant == EmbeddingVariant::kFmLinearStar;
+      for (const bool with_vm : {true, false}) {
+        const Tensor b = spec.bi ? vb : Tensor();
+        const Tensor m = with_vm ? vm : Tensor();
+        const Tensor n = with_vm ? never : Tensor();
+        for (const bool scalar : {false, true}) {
+          simd::ForceScalar(scalar);
+          const EmbeddingRun want =
+              RunEmbedding(ComposedBiDirectionalEmbedding, x, va, b, m, n,
+                           spec, cotangent);
+          for (const int64_t threads : {1, 2, 4}) {
+            SCOPED_TRACE(::testing::Message()
+                         << EmbeddingVariantName(variant) << " vm=" << with_vm
+                         << " B=" << B << " T=" << shape[1] << " C=" << C
+                         << " threads=" << threads
+                         << (scalar ? " scalar" : " simd"));
+            par::ScopedNumThreads scoped(threads);
+            const EmbeddingRun got = RunEmbedding(
+                ag::BiDirectionalEmbedding, x, va, b, m, n, spec, cotangent);
+            EXPECT_TRUE(SameBits(got.e, want.e)) << "output";
+            EXPECT_TRUE(SameBits(got.dva, want.dva)) << "dV_a / dV";
+            EXPECT_EQ(got.dvb.defined(), spec.bi);
+            if (spec.bi) {
+              EXPECT_TRUE(SameBits(got.dvb, want.dvb)) << "dV_b";
+            }
+            EXPECT_EQ(got.dvm.defined(), with_vm);
+            if (with_vm) {
+              EXPECT_TRUE(SameBits(got.dvm, want.dvm)) << "dV_m";
+            }
+          }
+        }
+        simd::ForceScalar(false);
+      }
+    }
+  }
+}
+
+TEST(EmbeddingTest, FusedOpOnEmptyBatchGivesZeroGradients) {
+  Rng rng(75);
+  ag::Variable va(Tensor::Uniform({5, 4}, -0.7f, 0.7f, &rng), true);
+  ag::Variable vb(Tensor::Uniform({5, 4}, -0.7f, 0.7f, &rng), true);
+  ag::Variable vm(Tensor::Uniform({5, 4}, -0.7f, 0.7f, &rng), true);
+  for (const std::vector<int64_t>& shape :
+       {std::vector<int64_t>{0, 3, 5}, std::vector<int64_t>{2, 0, 5}}) {
+    va.ZeroGrad();
+    vb.ZeroGrad();
+    vm.ZeroGrad();
+    const ag::Variable e = ag::BiDirectionalEmbedding(
+        Tensor(shape), va, vb, vm, Tensor({shape[0], 1, 5, 1}), {});
+    EXPECT_EQ(e.value().shape(),
+              (std::vector<int64_t>{shape[0], shape[1], 5, 4}));
+    ag::SumAll(e).Backward();
+    for (const ag::Variable* v : {&va, &vb, &vm}) {
+      EXPECT_EQ(MaxAbsDiff(v->grad(), Tensor({5, 4})), 0.0f);
+    }
+  }
+}
+
+TEST(EmbeddingTest, FusedOpGradCheckAllVariants) {
+  const Tensor x = EmbeddingInput({2, 3, 3}, 73);
+  Tensor never({2, 1, 3, 1});
+  never.at({0, 0, 1, 0}) = 1.0f;
+  never.at({1, 0, 2, 0}) = 1.0f;
+  for (const bool bi : {true, false}) {
+    for (const bool star : {false, true}) {
+      for (const bool with_vm : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "bi=" << bi << " star=" << star
+                                          << " vm=" << with_vm);
+        Rng rng(74);
+        ag::Variable va(Tensor::Uniform({3, 4}, -0.7f, 0.7f, &rng), true);
+        ag::Variable vb =
+            bi ? ag::Variable(Tensor::Uniform({3, 4}, -0.7f, 0.7f, &rng), true)
+               : ag::Variable();
+        ag::Variable vm =
+            with_vm
+                ? ag::Variable(Tensor::Uniform({3, 4}, -0.7f, 0.7f, &rng), true)
+                : ag::Variable();
+        EmbeddingSpec spec;
+        spec.bi = bi;
+        spec.star = star;
+        std::vector<ag::Variable> params{va};
+        if (bi) params.push_back(vb);
+        if (with_vm) params.push_back(vm);
+        std::string error;
+        EXPECT_TRUE(ag::CheckGradients(
+            [&] {
+              return ag::SumAll(ag::Square(ag::BiDirectionalEmbedding(
+                  x, va, vb, vm, with_vm ? never : Tensor(), spec)));
+            },
+            params, {}, &error))
+            << error;
+      }
+    }
+  }
+}
+
 TEST(EmbeddingTest, ParameterCountsPerVariant) {
   Rng rng(13);
   BiDirectionalEmbedding bi(37, 24, EmbeddingVariant::kBiDirectional, -3, 3,
@@ -342,20 +552,24 @@ FeatureInteractionRun RunFeatureInteraction(FeatureInteractionFn fn,
   return run;
 }
 
-bool SameBits(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
-}
-
 TEST(FeatureInteractionTest, TileMatchesComposedChainBitwise) {
   struct Dims {
     int64_t c, e, d;
   };
-  const Dims dims[] = {{5, 6, 3}, {37, 24, 4}};
-  // B x T = 1, 7 and 3072 tiles.
-  const std::vector<int64_t> grids[] = {{1, 1}, {1, 7}, {64, 48}};
+  // Every C in {1, 3, 5, 9, 37} against every E in {1, 7, 8, 24, 40}, with
+  // d cycling through 1..5: each product kernel row block (4 rows, then a
+  // 1-3 row rest) and column tail (C padded to 8 lanes, E and 2E wide)
+  // runs. B x T = 1 and 7 tiles, plus 3072 at ELDA-Net's own shape.
+  std::vector<Dims> dims;
+  int64_t cycle = 0;
+  for (const int64_t c : {1, 3, 5, 9, 37}) {
+    for (const int64_t e : {1, 7, 8, 24, 40}) {
+      dims.push_back({c, e, 1 + cycle++ % 5});
+    }
+  }
   for (const Dims& dim : dims) {
+    std::vector<std::vector<int64_t>> grids = {{1, 1}, {1, 7}};
+    if (dim.c == 37 && dim.e == 24) grids.push_back({64, 48});
     Rng rng(40);
     FeatureInteraction module(dim.c, dim.e, dim.d, &rng);
     Tensor w, p;

@@ -132,6 +132,38 @@ TEST(ParTest, NestedParallelForRunsInline) {
   EXPECT_EQ(inner_total.load(), 8 * 10);
 }
 
+TEST(ParTest, OneChunkDispatchLeavesNestedKernelsThePool) {
+  // A one-chunk outer dispatch (e.g. a single validation minibatch) runs
+  // inline on the caller without claiming a parallel region, so the kernels
+  // inside still fan out; max_threads = 1 keeps capping them.
+  ScopedNumThreads scoped(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int64_t max_threads : {0, 2, 1}) {
+    SCOPED_TRACE(max_threads);
+    const int64_t dispatches_before = Stats().parallel_dispatches;
+    std::atomic<int64_t> inner_total{0};
+    ParallelFor(
+        0, 1, 1,
+        [&](int64_t lo, int64_t hi) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          EXPECT_EQ(hi - lo, 1);
+          EXPECT_EQ(InParallelRegion(), max_threads == 1);
+          ParallelFor(0, 64, 1, [&](int64_t ilo, int64_t ihi) {
+            if (max_threads == 1) {
+              EXPECT_EQ(std::this_thread::get_id(), caller);
+            }
+            inner_total.fetch_add(ihi - ilo);
+          });
+        },
+        max_threads);
+    EXPECT_FALSE(InParallelRegion());
+    EXPECT_EQ(inner_total.load(), 64);
+    const int64_t nested_dispatches =
+        Stats().parallel_dispatches - dispatches_before;
+    EXPECT_EQ(nested_dispatches, max_threads == 1 ? 0 : 1);
+  }
+}
+
 TEST(ParTest, MaxThreadsArgumentCapsFanout) {
   ScopedNumThreads scoped(8);
   const std::thread::id caller = std::this_thread::get_id();

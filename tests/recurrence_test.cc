@@ -580,6 +580,10 @@ TEST(RecurrenceTest, PerModelTapeBudgetsHold) {
   // graph building blows the budget immediately. Measured values sit
   // 10-25% below each pin; the feature-module models' pins sit below what
   // the composed Eq. 5-6 chain (13 more nodes than the fused tile) costs.
+  // The ELDA-Net pins are tighter: each sits below what the composed Eq. 2
+  // embedding chain costs (5 more nodes for -Fbi and ELDA-Net, 7 for -Fbi*,
+  // 2 for -Ffm*). -Ffm's chain was a single Mul and -T has no embedding, so
+  // those two pins sit just above their measured counts.
   const struct {
     const char* name;
     int64_t budget;
@@ -590,9 +594,9 @@ TEST(RecurrenceTest, PerModelTapeBudgetsHold) {
       {"Dipole-l", 62},      {"Dipole-g", 64},
       {"Dipole-c", 68},      {"StageNet", 55},
       {"GRU-D", 60},         {"ConCare", 115},
-      {"ELDA-Net-T", 38},    {"ELDA-Net-Fbi", 32},
-      {"ELDA-Net-Ffm", 26},  {"ELDA-Net", 47},
-      {"ELDA-Net-Fbi*", 35}, {"ELDA-Net-Ffm*", 28},
+      {"ELDA-Net-T", 31},    {"ELDA-Net-Fbi", 24},
+      {"ELDA-Net-Ffm", 23},  {"ELDA-Net", 36},
+      {"ELDA-Net-Fbi*", 24}, {"ELDA-Net-Ffm*", 22},
   };
   const int64_t features = 5;
   const auto prepared = RandomSamples(8, 6, features, 93);
