@@ -12,9 +12,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -45,6 +48,64 @@ int64_t PoolAcquires() {
 
 // The kernel benchmarks take the thread count as their last argument so a
 // single run shows the elda::par scaling curve (1 = the serial fallback).
+
+// Busy work for the dispatch benchmark: a dependent integer chain the
+// compiler cannot fold or vectorise.
+uint64_t BusyWork(int64_t iters, uint64_t x) {
+  for (int64_t i = 0; i < iters; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+  }
+  return x;
+}
+
+// BusyWork iterations per microsecond on this machine, measured once.
+int64_t BusyItersPerMicro() {
+  static const int64_t value = [] {
+    constexpr int64_t kIters = int64_t{1} << 22;
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(BusyWork(kIters, 1));
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    return std::max<int64_t>(1, static_cast<int64_t>(kIters / us));
+  }();
+  return value;
+}
+
+// Pool dispatch cost: a 4-chunk ParallelFor at 4 threads with ~arg0 us of
+// work per chunk (0 = empty chunks, pure dispatch). `speedup_vs_inline`
+// divides the time of the same four chunks run back to back on the caller
+// by the dispatched time: above 1 means the pool pays for itself.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  constexpr int64_t kChunks = 4;
+  const int64_t iters = state.range(0) * BusyItersPerMicro();
+  par::ScopedNumThreads scoped(kChunks);
+  std::array<uint64_t, kChunks> sink{};
+  const std::function<void(int64_t, int64_t)> chunks = [&](int64_t lo,
+                                                           int64_t hi) {
+    for (int64_t c = lo; c < hi; ++c) {
+      sink[c] = BusyWork(iters, sink[c] + static_cast<uint64_t>(c));
+    }
+  };
+  using Clock = std::chrono::steady_clock;
+  constexpr int kInlineReps = 256;
+  const auto inline_start = Clock::now();
+  for (int rep = 0; rep < kInlineReps; ++rep) chunks(0, kChunks);
+  const double inline_ns =
+      std::chrono::duration<double, std::nano>(Clock::now() - inline_start)
+          .count() /
+      kInlineReps;
+  const auto start = Clock::now();
+  for (auto _ : state) par::ParallelFor(0, kChunks, 1, chunks);
+  const double dispatch_ns =
+      std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          1, state.iterations()));
+  benchmark::DoNotOptimize(sink);
+  state.counters["inline_ns"] = inline_ns;
+  state.counters["speedup_vs_inline"] = inline_ns / dispatch_ns;
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(0)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_MatMulSquare(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -83,6 +144,20 @@ BENCHMARK(BM_MatMulTranspose)
     ->Args({0, 1, 1})
     ->Args({1, 0, 1})
     ->Args({1, 1, 1});
+
+// The feature-interaction tile backward's dp product at B=64, T=48, C=37:
+// [113664, 4]ᵀ x [113664, 48], a four-row TN product over a 21.8 MB slab.
+void BM_MatMulSkinnyTN(benchmark::State& state) {
+  const int64_t k = 64 * 48 * 37;
+  par::ScopedNumThreads scoped(state.range(0));
+  Tensor a = RandomTensor({k, 4}, 22);
+  Tensor b = RandomTensor({k, 48}, 23);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMul(a, b, /*trans_a=*/true));
+  }
+  state.SetItemsProcessed(state.iterations() * k * 4 * 48);
+}
+BENCHMARK(BM_MatMulSkinnyTN)->Arg(1)->Arg(4);
 
 void BM_MatMulBatchedSmall(benchmark::State& state) {
   // The feature-interaction workload shape: many tiny matmuls.
@@ -502,9 +577,11 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
   // benchmark family (1 for benches that run at the default).
   static int64_t ThreadsArg(const std::string& op,
                             const std::vector<int64_t>& args) {
+    if (op == "BM_ParallelForDispatch") return 4;
     if (op == "BM_MatMulSquare" && args.size() >= 2) return args[1];
     if (op == "BM_MatMulTranspose" && args.size() >= 3) return args[2];
-    if ((op == "BM_MatMulBatchedSmall" || op == "BM_SoftmaxLastAxis") &&
+    if ((op == "BM_MatMulBatchedSmall" || op == "BM_SoftmaxLastAxis" ||
+         op == "BM_MatMulSkinnyTN") &&
         !args.empty()) {
       return args[0];
     }
