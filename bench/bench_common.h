@@ -56,15 +56,15 @@ inline void RegisterBenchFlags(util::ArgParser* parser,
   parser->Bool("full", &values->full,
                "paper-scale cohorts and epoch budgets");
   parser->Int("admissions", &values->admissions,
-              "cohort admissions (-1: scale default)");
+              "cohort admissions (unset: scale default)", 1);
   parser->Int("epochs", &values->epochs,
-              "training epochs (-1: scale default)");
-  parser->Int("runs", &values->runs, "independent runs to average");
-  parser->Int("batch-size", &values->batch_size, "training batch size");
+              "training epochs (unset: scale default)", 0);
+  parser->Int("runs", &values->runs, "independent runs to average", 1);
+  parser->Int("batch-size", &values->batch_size, "training batch size", 1);
   parser->Double("lr", &values->lr, "learning rate");
   parser->Bool("verbose", &values->verbose, "per-epoch progress");
   parser->Int("threads", &values->threads,
-              "thread-pool size (0: environment default)");
+              "thread-pool size (0: environment default)", 0);
 }
 
 inline void ResolveBenchScale(const BenchFlagValues& values, BenchScale* scale,

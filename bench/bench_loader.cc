@@ -115,12 +115,13 @@ int main(int argc, char** argv) {
                          "Sharded-cohort generation and out-of-core loader "
                          "throughput: padding waste vs bucket count, "
                          "prefetch off/on, peak RSS.");
-  parser.Int("admissions", &admissions, "stays to generate")
-      .Int("samples-per-shard", &samples_per_shard, "records per shard file")
-      .Int("batch-size", &batch_size, "loader batch size")
+  parser.Int("admissions", &admissions, "stays to generate", 1)
+      .Int("samples-per-shard", &samples_per_shard, "records per shard file",
+           1)
+      .Int("batch-size", &batch_size, "loader batch size", 1)
       .String("buckets", &buckets_spec,
               "comma-separated length-bucket counts to sweep")
-      .Int("threads", &threads, "worker threads (0: environment default)")
+      .Int("threads", &threads, "worker threads (0: environment default)", 0)
       .String("dir", &dir, "directory for the generated shards")
       .String("json_out", &json_path, "machine-readable results path");
   parser.Parse(argc, argv);

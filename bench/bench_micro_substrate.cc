@@ -159,6 +159,40 @@ void BM_MatMulSkinnyTN(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulSkinnyTN)->Arg(1)->Arg(4);
 
+// Products below the packed kernel's threshold, which run as Product
+// tasks, at the shapes that carry most of ELDA-Net's MatMul calls. arg0
+// picks the shape, arg1 is the thread count.
+struct SmallProduct {
+  const char* label;
+  std::vector<int64_t> a_shape, b_shape;
+  bool trans_b;
+};
+const SmallProduct kSmallProducts[] = {
+    // 0: a ward step's GRU gates, B=5.
+    {"ward step [5,64]x[64,192]", {5, 64}, {64, 192}, false},
+    // 1: a per-step readout GEMV over B·T = 3072 states.
+    {"readout [3072,64]x[64,1]", {3072, 64}, {64, 1}, false},
+    // 2: Eq. 9's time-attention logits, w_beta shared across the batch.
+    {"Eq. 9 logits 256x[47,64]x[64,1]", {256, 47, 64}, {64, 1}, false},
+    // 3: Eq. 11's backward d(beta) = dg_T s^T, NT with m = 1.
+    {"Eq. 11 dbeta 64x[1,64]x[47,64]^T", {64, 1, 64}, {64, 47, 64}, true},
+    // 4: Eq. 9's backward ds = dlogits w_beta^T, NT with k = 1.
+    {"Eq. 9 ds 64x[47,1]x[64,1]^T", {64, 47, 1}, {64, 1}, true},
+};
+
+void BM_MatMulSmall(benchmark::State& state) {
+  const SmallProduct& shape = kSmallProducts[state.range(0)];
+  par::ScopedNumThreads scoped(state.range(1));
+  Tensor a = RandomTensor(shape.a_shape, 24);
+  Tensor b = RandomTensor(shape.b_shape, 25);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMul(a, b, false, shape.trans_b));
+  }
+  state.SetLabel(shape.label);
+}
+BENCHMARK(BM_MatMulSmall)
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {1, 4}});
+
 void BM_MatMulBatchedSmall(benchmark::State& state) {
   // The feature-interaction workload shape: many tiny matmuls.
   par::ScopedNumThreads scoped(state.range(0));
@@ -564,7 +598,14 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
         out << ", \"items_per_second\": " << r.items_per_second;
       }
       for (const auto& [counter_name, value] : r.counters) {
-        out << ", \"" << counter_name << "\": " << value;
+        // Aggregate rows of --benchmark_repetitions can carry NaN (e.g. the
+        // cv of an all-zero counter), which JSON cannot spell.
+        out << ", \"" << counter_name << "\": ";
+        if (std::isfinite(value)) {
+          out << value;
+        } else {
+          out << "null";
+        }
       }
       out << "}" << (i + 1 < records_.size() ? "," : "") << "\n";
     }
@@ -580,6 +621,7 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
     if (op == "BM_ParallelForDispatch") return 4;
     if (op == "BM_MatMulSquare" && args.size() >= 2) return args[1];
     if (op == "BM_MatMulTranspose" && args.size() >= 3) return args[2];
+    if (op == "BM_MatMulSmall" && args.size() >= 2) return args[1];
     if ((op == "BM_MatMulBatchedSmall" || op == "BM_SoftmaxLastAxis" ||
          op == "BM_MatMulSkinnyTN") &&
         !args.empty()) {

@@ -134,18 +134,21 @@ int main(int argc, char** argv) {
                          "throughput with resident per-patient state, "
                          "multi-worker sweep, and snapshot overhead.");
   parser.String("model", &model_name, "registry model to serve")
-      .Int("sessions", &sessions, "resident patients to admit")
-      .Int("rounds", &rounds, "observations streamed per patient")
-      .Int("clients", &clients, "client threads submitting observations")
+      .Int("sessions", &sessions, "resident patients to admit", 1)
+      .Int("rounds", &rounds, "observations streamed per patient", 1)
+      .Int("clients", &clients, "client threads submitting observations", 1)
       .String("workers", &workers_spec,
               "comma-separated scoring-worker counts to sweep")
-      .Int("depth", &depth, "per-client in-flight request pipeline")
-      .Int("batch", &batch, "micro-batch coalescing cap")
-      .Int("window", &window, "rolling-window capacity per session")
-      .Int("delay-us", &delay_us, "micro-batcher linger before partial batch")
-      .Int("threads", &threads, "kernel threads inside the scoring step")
+      .Int("depth", &depth, "per-client in-flight request pipeline", 1)
+      .Int("batch", &batch, "micro-batch coalescing cap", 1)
+      .Int("window", &window, "rolling-window capacity per session", 1)
+      .Int("delay-us", &delay_us, "micro-batcher linger before partial batch",
+           0)
+      .Int("threads", &threads,
+           "kernel threads inside the scoring step (0: environment default)",
+           0)
       .Int("t-sweep", &t_sweep,
-           "history length for the latency-vs-T table (0: skip)")
+           "history length for the latency-vs-T table (0: skip)", 0)
       .String("snapshot-path", &snapshot_path,
               "session checkpoint file for the overhead phase (empty: skip)")
       .String("json_out", &json_path, "machine-readable results path");

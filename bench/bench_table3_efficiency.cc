@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
                          "Table III: parameters, training throughput and "
                          "inference latency per model.");
   bench::RegisterBenchFlags(&parser, &values);
-  parser.Int("batches", &timing_batches, "timing batches per model")
+  parser.Int("batches", &timing_batches, "timing batches per model", 1)
       .String("json_out", &json_path, "machine-readable results path");
   parser.Parse(argc, argv);
   bench::BenchScale scale;

@@ -40,6 +40,15 @@ KEY_OPS = [
     # The tile backward's dp product ([113664, 4]^T x [113664, 48]) through
     # the TN Product tasks; the /4 row is reported only (VM noise).
     "BM_MatMulSkinnyTN/1",
+    # Products below the packed kernel's threshold (Product tasks) at the
+    # shapes that carry most MatMul calls: ward step, readout GEMV, Eq. 9
+    # logits, Eq. 11 dbeta (NT, m = 1), Eq. 9 ds (NT, k = 1). The /4 rows
+    # are reported only.
+    "BM_MatMulSmall/0/1",
+    "BM_MatMulSmall/1/1",
+    "BM_MatMulSmall/2/1",
+    "BM_MatMulSmall/3/1",
+    "BM_MatMulSmall/4/1",
     "BM_GruForward",
     "BM_RecurrentSweep/256/0",
     "BM_RecurrentSweep/256/1",

@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
   util::ArgParser parser("interpretability_report",
                          "Clinician-facing report of ELDA's dual-level "
                          "interpretations.");
-  parser.Int("admissions", &admissions, "synthetic cohort admissions")
-      .Int("epochs", &epochs, "training epochs");
+  parser.Int("admissions", &admissions, "synthetic cohort admissions", 1)
+      .Int("epochs", &epochs, "training epochs", 0);
   parser.Parse(argc, argv);
 
   synth::CohortConfig cohort_config = synth::SynthPhysioNet2012();

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   util::ArgParser parser("los_prediction",
                          "LOS > 7 days prediction: ELDA vs two baselines, "
                          "plus bed planning.");
-  parser.Int("admissions", &admissions, "synthetic cohort admissions")
-      .Int("epochs", &epochs, "training epochs");
+  parser.Int("admissions", &admissions, "synthetic cohort admissions", 1)
+      .Int("epochs", &epochs, "training epochs", 0);
   parser.Parse(argc, argv);
 
   synth::CohortConfig cohort_config = synth::SynthMimicIii();

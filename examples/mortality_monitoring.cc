@@ -40,12 +40,12 @@ int main(int argc, char** argv) {
   util::ArgParser parser(
       "mortality_monitoring",
       "Continuous mortality-risk monitoring on a synthetic ICU ward.");
-  parser.Int("admissions", &admissions, "historical training admissions")
-      .Int("epochs", &epochs, "training epochs")
+  parser.Int("admissions", &admissions, "historical training admissions", 1)
+      .Int("epochs", &epochs, "training epochs", 0)
       .Double("threshold", &threshold, "alert threshold on predicted risk")
       .String("checkpoint", &checkpoint, "crash-safe checkpoint path")
       .Int("checkpoint-every", &checkpoint_every,
-           "checkpoint every K epochs (-1: 1 when --checkpoint set)")
+           "checkpoint every K epochs (unset: 1 when --checkpoint set)", 0)
       .Bool("resume", &resume, "resume training from the checkpoint")
       .String("fault-plan", &fault_spec,
               "deterministic fault injection spec, e.g. poison_grad@40");

@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   util::ArgParser parser("quickstart",
                          "Train ELDA on a synthetic ICU cohort, score new "
                          "admissions and interpret them.");
-  parser.Int("admissions", &admissions, "synthetic cohort admissions")
-      .Int("epochs", &epochs, "training epochs");
+  parser.Int("admissions", &admissions, "synthetic cohort admissions", 1)
+      .Int("epochs", &epochs, "training epochs", 0);
   parser.Parse(argc, argv);
 
   // 1. A cohort of ICU admissions (stand-in for a hospital EMR extract).

@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
                          "Live ward monitoring with resident per-patient "
                          "state and step-level scoring.");
   parser.String("model", &model_name, "registry model to train and serve")
-      .Int("admissions", &admissions, "historical training admissions")
-      .Int("epochs", &epochs, "training epochs")
+      .Int("admissions", &admissions, "historical training admissions", 1)
+      .Int("epochs", &epochs, "training epochs", 0)
       .Double("threshold", &threshold, "alert threshold on predicted risk")
-      .Int("ward", &ward_size, "patients on the live ward")
+      .Int("ward", &ward_size, "patients on the live ward", 1)
       .String("snapshot-path", &snapshot_path,
               "session checkpoint file; enables the mid-stream "
               "kill-and-resume demo")

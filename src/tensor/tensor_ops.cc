@@ -25,8 +25,6 @@ namespace {
 //
 // Allocation note: kernels here allocate their outputs with Tensor::Empty
 // (uninitialized pooled memory) because they overwrite every output element.
-// The one exception is the simple GEMM path, which accumulates with `+=`
-// and therefore zero-fills first (see DESIGN.md "Memory model").
 
 // Applies a binary functor with NumPy broadcasting. The fast paths cover the
 // two layouts that dominate this codebase: identical shapes, and a
@@ -195,7 +193,7 @@ int64_t NormalizeAxis(int64_t axis, int64_t rank) {
 // computed as
 //     acc = +0;  for p = 0..K-1 ascending:  acc = fma(A[i,p], B[p,j], acc)
 // — one fused multiply-add per k step, strictly in k order. Both production
-// kernels (the simple loops for small products and the packed cache-blocked
+// kernels (Product tasks for small products and the packed cache-blocked
 // kernel for large ones) implement exactly this per-element sequence, as
 // does GemmReference. Packing, register tiling, and thread partitioning
 // only change *which elements* are computed when, never the arithmetic
@@ -370,12 +368,13 @@ struct Operand {
   int64_t ps;
 };
 
-// Strided products, used by the feature-interaction tile and by MatMul's
-// TN products: out[r * ldo + j] = sum_{p < k} a(r, p) * b[p * ldb + j],
+// Strided products, used by the feature-interaction tile and by every MatMul
+// the packed kernel does not take: out[r * ldo + j] = sum_{p < k} a(r, p) * b[p * ldb + j],
 // each output one strict-p fma chain from +0 (GemmReference). Rows run in
 // blocks of up to kProductRows, so each pass over b feeds that many rows'
 // chains; per-element order never depends on the blocking.
 constexpr int64_t kProductRows = 4;
+constexpr int64_t kProductLanes = 16;
 
 #if defined(__AVX512F__) && defined(__FMA__)
 
@@ -383,7 +382,6 @@ constexpr int64_t kProductRows = 4;
 // keeps 12 independent accumulators in registers across the whole p loop.
 // The last vector is masked to the column tail (masked-off lanes load as
 // zero and are never stored).
-constexpr int64_t kProductLanes = 16;
 constexpr int64_t kProductVecs = 3;
 
 // One output row's accumulators: acc[v] += av * bv[v].
@@ -533,77 +531,6 @@ void Product(Operand a, int64_t rows, const float* b, int64_t ldb, int64_t k,
   }
 }
 
-// Small-product kernel for NN, NT and TT, rows [i0, i1): no packing, same
-// per-element contract (TN products run as Product tasks, GemmTnTasks
-// below). The AXPY-style NN path accumulates into C, which must be zero on
-// entry; the dot-style paths (NT, TT) overwrite. Dot products
-// run kLanes output columns at a time — independent strict-k chains, for
-// instruction-level parallelism without touching any chain's order.
-void GemmSimpleRows(const float* __restrict__ a, const float* __restrict__ b,
-                    float* __restrict__ c, int64_t m, int64_t k, int64_t n,
-                    bool trans_a, bool trans_b, int64_t i0, int64_t i1) {
-  ELDA_CHECK(!trans_a || trans_b) << "TN products run as Product tasks";
-  constexpr int64_t kLanes = 8;
-  if (!trans_a && !trans_b) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* __restrict__ crow = c + i * n;
-      const float* arow = a + i * k;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        const float* __restrict__ brow = b + p * n;
-        for (int64_t j = 0; j < n; ++j) {
-          crow[j] = std::fma(av, brow[j], crow[j]);
-        }
-      }
-    }
-  } else if (!trans_a && trans_b) {
-    // B is stored [N, K]; each output is a dot product of contiguous rows.
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* __restrict__ arow = a + i * k;
-      float* crow = c + i * n;
-      int64_t j = 0;
-      for (; j + kLanes <= n; j += kLanes) {
-        float s[kLanes] = {};
-        for (int64_t p = 0; p < k; ++p) {
-          const float av = arow[p];
-          for (int64_t jj = 0; jj < kLanes; ++jj) {
-            s[jj] = std::fma(av, b[(j + jj) * k + p], s[jj]);
-          }
-        }
-        for (int64_t jj = 0; jj < kLanes; ++jj) crow[j + jj] = s[jj];
-      }
-      for (; j < n; ++j) {
-        const float* __restrict__ brow = b + j * k;
-        float s = 0.0f;
-        for (int64_t p = 0; p < k; ++p) s = std::fma(arow[p], brow[p], s);
-        crow[j] = s;
-      }
-    }
-  } else {
-    // Both transposed: A stored [K, M], B stored [N, K].
-    for (int64_t i = i0; i < i1; ++i) {
-      float* crow = c + i * n;
-      int64_t j = 0;
-      for (; j + kLanes <= n; j += kLanes) {
-        float s[kLanes] = {};
-        for (int64_t p = 0; p < k; ++p) {
-          const float av = a[p * m + i];
-          for (int64_t jj = 0; jj < kLanes; ++jj) {
-            s[jj] = std::fma(av, b[(j + jj) * k + p], s[jj]);
-          }
-        }
-        for (int64_t jj = 0; jj < kLanes; ++jj) crow[j + jj] = s[jj];
-      }
-      for (; j < n; ++j) {
-        const float* brow = b + j * k;
-        float s = 0.0f;
-        for (int64_t p = 0; p < k; ++p) s = std::fma(a[p * m + i], brow[p], s);
-        crow[j] = s;
-      }
-    }
-  }
-}
-
 // Products below this flop count (or too skinny for a tile) skip the packed
 // kernel: two packing passes plus tile padding are not worth it.
 constexpr int64_t kPackedMinFlops = 1 << 14;
@@ -617,83 +544,87 @@ bool UsePackedGemm(int64_t m, int64_t k, int64_t n) {
 // dominates and the work stays on fewer threads.
 constexpr int64_t kMatMulGrainFlops = 1 << 15;
 
-// TN products (C = Aᵀ B, A stored [K, M]) that the packed kernel does not
-// take run as tasks over strided Product blocks, each block's chains in
-// registers across the whole k loop rather than loading and storing C on
-// every k step. Every output stays one strict-k fma chain from +0.
-//
-// Blocks (n >= kTnLanes; e.g. the feature-interaction tile backward's dp,
-// [B·T·C, D]ᵀ x [B·T·C, 2E]): one task per kProductRows-row block and column
-// block. A product worth more than one parallel chunk whose row blocks
-// cannot occupy every thread splits its columns as finely as 16 lanes, so
-// each thread streams only its own 64-byte slice of every B row; otherwise
-// a task spans all n columns and B streams once per row block.
-//
-// Narrow (n < kTnLanes; e.g. a readout's dW = sᵀ dlogits): C's rows become
-// the vector lanes. Cᵀ[j, i] = sum_p B[p, j] A[p, i] is a Product with B's
-// columns as rows and A's contiguous rows as lanes; fma's product commutes
-// exactly, so each lane is the same chain as GemmReference's.
-constexpr int64_t kTnLanes = 16;
-constexpr int64_t kTnLaneBlock = 48;  // narrow: C rows per task
-
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
-struct TnPlan {
-  enum Path { kNone, kBlocks, kNarrow } path = kNone;
-  int64_t cols = 0;   // blocks: columns per task
+// Every product the packed kernel does not take runs as tasks over strided
+// Product blocks, each block's chains in registers across the whole k loop.
+// Product reads its lane operand p-major, so the lanes go on the side
+// already stored that way: C's columns for NN (B is [K, N]), C's rows for TT
+// (A is [K, M]), and the wider side for TN. NT products reach the planner
+// as NN or TT, their narrower side copied transposed (MatMul). With lanes on
+// C's rows a task computes a block of Cᵀ = op(B)ᵀ op(A)ᵀ; fma's product
+// commutes exactly, so every output is still GemmReference's strict-k chain
+// from +0.
+//
+// One task per kProductRows-row block and column (lane) block. A product
+// worth more than one parallel chunk whose row blocks cannot occupy every
+// thread splits its lanes as finely as 16, so each thread streams only its
+// own 64-byte slice of every lane-operand row (e.g. the feature-interaction
+// tile backward's dp, [B·T·C, 4]ᵀ x [B·T·C, 48]); otherwise a task spans all
+// lanes and the lane operand streams once per row block.
+struct ProductPlan {
+  bool lanes_on_rows = false;  // lanes run along C's rows (output is Cᵀ)
+  int64_t rows = 0;            // extent of the row side
+  int64_t lanes = 0;           // extent of the lane side, its p stride
+  int64_t rs = 0, ps = 0;      // strides of the row operand
+  int64_t cols = 1;            // lanes per task
   int64_t tasks = 0;
-  int64_t grain = 1;  // tasks per parallel chunk
+  int64_t grain = 1;           // tasks per parallel chunk
 };
 
-TnPlan PlanTn(int64_t m, int64_t k, int64_t n, bool trans_a, bool trans_b,
-              int64_t threads) {
-  TnPlan plan;
-  if (!trans_a || trans_b) return plan;
-  if (n < kTnLanes) {
-    plan.path = TnPlan::kNarrow;
-    plan.tasks = CeilDiv(m, kTnLaneBlock);
-    plan.grain = kMatMulGrainFlops / std::max<int64_t>(1, kTnLaneBlock * n * k);
-  } else if (!UsePackedGemm(m, k, n)) {
-    plan.path = TnPlan::kBlocks;
-    const int64_t row_blocks = CeilDiv(m, kProductRows);
-    const int64_t vecs = CeilDiv(n, kTnLanes);
-    const int64_t col_blocks =
-        m * k * n > kMatMulGrainFlops
-            ? std::min(vecs, CeilDiv(threads, row_blocks))
-            : 1;
-    plan.cols = kTnLanes * CeilDiv(vecs, col_blocks);
-    plan.tasks = row_blocks * CeilDiv(n, plan.cols);
-    plan.grain = kMatMulGrainFlops / std::max<int64_t>(
-                                         1, kProductRows * plan.cols * k);
-  }
-  plan.grain = std::max<int64_t>(1, plan.grain);
+ProductPlan PlanProduct(int64_t m, int64_t k, int64_t n, bool trans_a,
+                        bool trans_b, int64_t threads) {
+  ProductPlan plan;
+  plan.lanes_on_rows = trans_a && (trans_b || m > n);
+  plan.rows = plan.lanes_on_rows ? n : m;
+  plan.lanes = plan.lanes_on_rows ? m : n;
+  // Row operand: B (element (j, p)) with lanes on rows, else A (i, p).
+  const bool row_p_major = plan.lanes_on_rows ? !trans_b : trans_a;
+  plan.rs = row_p_major ? 1 : k;
+  plan.ps = row_p_major ? plan.rows : 1;
+  if (plan.rows == 0 || plan.lanes == 0) return plan;
+  const int64_t row_blocks = CeilDiv(plan.rows, kProductRows);
+  const int64_t vecs = CeilDiv(plan.lanes, kProductLanes);
+  const int64_t col_blocks =
+      m * k * n > kMatMulGrainFlops
+          ? std::min(vecs, CeilDiv(threads, row_blocks))
+          : 1;
+  plan.cols = kProductLanes * CeilDiv(vecs, col_blocks);
+  plan.tasks = row_blocks * CeilDiv(plan.lanes, plan.cols);
+  plan.grain = std::max<int64_t>(
+      1, kMatMulGrainFlops /
+             std::max<int64_t>(
+                 1, kProductRows * std::min(plan.cols, plan.lanes) * k));
   return plan;
 }
 
-// Runs tasks [t0, t1) of a TN product plan; tasks write disjoint outputs
-// and overwrite them.
-void GemmTnTasks(const TnPlan& plan, const float* a, const float* b,
-                 float* c, int64_t m, int64_t k, int64_t n, int64_t t0,
-                 int64_t t1) {
+// Runs tasks [t0, t1) of one product; tasks write disjoint outputs and
+// overwrite them. Cᵀ blocks pass through a stack buffer, 48 lanes at a time.
+void ProductTasks(const ProductPlan& plan, const float* a, const float* b,
+                  float* c, int64_t k, int64_t n, int64_t t0, int64_t t1) {
+  constexpr int64_t kChunk = 3 * kProductLanes;
+  const float* lane = plan.lanes_on_rows ? a : b;
+  const float* row = plan.lanes_on_rows ? b : a;
+  const int64_t col_blocks = CeilDiv(plan.lanes, plan.cols);
   for (int64_t t = t0; t < t1; ++t) {
-    if (plan.path == TnPlan::kBlocks) {
-      const int64_t col_blocks = CeilDiv(n, plan.cols);
-      const int64_t i0 = (t / col_blocks) * kProductRows;
-      const int64_t j0 = (t % col_blocks) * plan.cols;
-      Product({a + i0, 1, m}, std::min(kProductRows, m - i0), b + j0, n, k,
-              std::min(plan.cols, n - j0), c + i0 * n + j0, n);
+    const int64_t r0 = (t / col_blocks) * kProductRows;
+    const int64_t l0 = (t % col_blocks) * plan.cols;
+    const int64_t nr = std::min(kProductRows, plan.rows - r0);
+    const int64_t nl = std::min(plan.cols, plan.lanes - l0);
+    const Operand block{row + r0 * plan.rs, plan.rs, plan.ps};
+    if (!plan.lanes_on_rows) {
+      Product(block, nr, lane + l0, plan.lanes, k, nl, c + r0 * n + l0, n);
       continue;
     }
-    const int64_t i0 = t * kTnLaneBlock;
-    const int64_t w = std::min(kTnLaneBlock, m - i0);
-    if (n == 1) {
-      Product({b, 1, 1}, 1, a + i0, m, k, w, c + i0, w);
-      continue;
-    }
-    float ct[(kTnLanes - 1) * kTnLaneBlock];  // Cᵀ block [n, w]
-    Product({b, 1, n}, n, a + i0, m, k, w, ct, w);
-    for (int64_t l = 0; l < w; ++l) {
-      for (int64_t j = 0; j < n; ++j) c[(i0 + l) * n + j] = ct[j * w + l];
+    float ct[kProductRows * kChunk];
+    for (int64_t l = l0; l < l0 + nl; l += kChunk) {
+      const int64_t w = std::min(kChunk, l0 + nl - l);
+      Product(block, nr, lane + l, plan.lanes, k, w, ct, w);
+      for (int64_t i = 0; i < w; ++i) {
+        for (int64_t j = 0; j < nr; ++j) {
+          c[(l + i) * n + r0 + j] = ct[j * w + i];
+        }
+      }
     }
   }
 }
@@ -980,18 +911,36 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   out_shape.push_back(am);
   out_shape.push_back(bn);
   Tensor out = Tensor::Empty(out_shape);
-  // A batch of products runs each one serially inside its chunk.
-  const TnPlan tn = PlanTn(am, ak, bn, trans_a, trans_b,
-                           batch > 1 ? 1 : par::NumThreads());
-  const bool packed = tn.path == TnPlan::kNone && UsePackedGemm(am, ak, bn);
-  if (!trans_a && !trans_b && !packed) {
-    // The simple NN kernel accumulates into C; every other kernel
-    // overwrites, so only this case needs the zero-fill.
-    std::memset(out.data(), 0, static_cast<size_t>(out.size()) * sizeof(float));
-  }
+  const bool packed = UsePackedGemm(am, ak, bn);
   const float* base_a = a.data();
   const float* base_b = b.data();
   float* base_o = out.data();
+  // Non-packed NT runs as NN or TT: Product needs one p-major side, so the
+  // narrower side is copied transposed. A side that is one wide, or one
+  // deep (k == 1), is stored the same either way and needs no copy; at
+  // k == 1 that holds for both, and NN writes C directly.
+  bool ta = trans_a, tb = trans_b;
+  Tensor copy;
+  if (!packed && !trans_a && trans_b) {
+    if (bn <= am || ak == 1) {
+      tb = false;
+      if (bn > 1 && ak > 1) {
+        copy = TransposeLast2(b);
+        base_b = copy.data();
+      }
+    } else {
+      ta = true;
+      if (am > 1) {
+        copy = TransposeLast2(a);
+        base_a = copy.data();
+      }
+    }
+  }
+  // A batch of products runs each one serially inside its chunk.
+  const ProductPlan plan =
+      packed ? ProductPlan{}
+             : PlanProduct(am, ak, bn, ta, tb,
+                           batch > 1 ? 1 : par::NumThreads());
   const int64_t flops_per_item = am * ak * bn;
   if (batch > 1) {
     // Flop-derived grain, capped to a few chunks per thread: a large batch
@@ -1018,19 +967,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
         return;
       }
       for (int64_t i = b0; i < b1; ++i) {
-        const float* pa = base_a + (a_batch == 1 ? 0 : i * a_mat);
-        const float* pb = base_b + (b_batch == 1 ? 0 : i * b_mat);
-        float* po = base_o + i * am * bn;
-        if (tn.path != TnPlan::kNone) {
-          GemmTnTasks(tn, pa, pb, po, am, ak, bn, 0, tn.tasks);
-        } else {
-          GemmSimpleRows(pa, pb, po, am, ak, bn, trans_a, trans_b, 0, am);
-        }
+        ProductTasks(plan, base_a + (a_batch == 1 ? 0 : i * a_mat),
+                     base_b + (b_batch == 1 ? 0 : i * b_mat),
+                     base_o + i * am * bn, ak, bn, 0, plan.tasks);
       }
-    });
-  } else if (tn.path != TnPlan::kNone) {
-    par::ParallelFor(0, tn.tasks, tn.grain, [&](int64_t t0, int64_t t1) {
-      GemmTnTasks(tn, base_a, base_b, base_o, am, ak, bn, t0, t1);
     });
   } else if (packed) {
     // B's panels are disjoint, so they pack in parallel, one element grain
@@ -1056,11 +996,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
                      std::min(am, b1 * kMR), ap.data());
     });
   } else {
-    const int64_t row_grain = std::max<int64_t>(
-        1, kMatMulGrainFlops / std::max<int64_t>(1, ak * bn));
-    par::ParallelFor(0, am, row_grain, [&](int64_t i0, int64_t i1) {
-      GemmSimpleRows(base_a, base_b, base_o, am, ak, bn, trans_a, trans_b,
-                     i0, i1);
+    par::ParallelFor(0, plan.tasks, plan.grain, [&](int64_t t0, int64_t t1) {
+      ProductTasks(plan, base_a, base_b, base_o, ak, bn, t0, t1);
     });
   }
   return out;

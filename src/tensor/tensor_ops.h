@@ -93,8 +93,11 @@ Tensor SoftmaxLastAxisGrad(const Tensor& g, const Tensor& y);
 //
 // Determinism contract: every output element is acc = +0 then
 // acc = fma(a_ip, b_pj, acc) for p ascending — the sequence GemmReference
-// spells out below. The production kernels (simple and packed/blocked) are
-// bitwise identical to GemmReference for all inputs and thread counts.
+// spells out below. Two kernels serve it, both bitwise identical to
+// GemmReference for all inputs, transposes and thread counts: the packed,
+// cache-blocked kernel for large products, and register-blocked Product
+// tasks from one planner for every other product. Both overwrite every
+// output element, so the output is allocated uninitialised.
 Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
 

@@ -79,8 +79,11 @@ ArgParser& ArgParser::String(const std::string& name, std::string* value,
 }
 
 ArgParser& ArgParser::Int(const std::string& name, int64_t* value,
-                          const std::string& help) {
-  return Register(name, Type::kInt, value, help, std::to_string(*value));
+                          const std::string& help,
+                          std::optional<int64_t> min) {
+  Register(name, Type::kInt, value, help, std::to_string(*value));
+  flags_.back().min = min;
+  return *this;
 }
 
 ArgParser& ArgParser::Double(const std::string& name, double* value,
@@ -113,9 +116,17 @@ bool ArgParser::Assign(Flag* flag, const std::string& value,
     case Type::kString:
       *static_cast<std::string*>(flag->dest) = value;
       return true;
-    case Type::kInt:
-      if (ParseInt(value, static_cast<int64_t*>(flag->dest))) return true;
-      break;
+    case Type::kInt: {
+      int64_t v = 0;
+      if (!ParseInt(value, &v)) break;
+      if (flag->min && v < *flag->min) {
+        *error = "--" + flag->name + " must be at least " +
+                 std::to_string(*flag->min) + ", got " + value;
+        return false;
+      }
+      *static_cast<int64_t*>(flag->dest) = v;
+      return true;
+    }
     case Type::kDouble:
       if (ParseDouble(value, static_cast<double*>(flag->dest))) return true;
       break;
@@ -138,7 +149,9 @@ std::string ArgParser::Usage() const {
       line += " <" + std::string(TypeName(static_cast<int>(flag.type))) + ">";
     }
     while (line.size() < 28) line.push_back(' ');
-    line += flag.help + " (default: " + flag.default_repr + ")\n";
+    line += flag.help + " (default: " + flag.default_repr;
+    if (flag.min) line += ", min: " + std::to_string(*flag.min);
+    line += ")\n";
     usage += line;
   }
   std::string help_line = "  --help";

@@ -14,13 +14,15 @@
 //   parser.Parse(argc, argv);
 //
 // Accepted forms: `--name value`, `--name=value`, bare `--switch` for
-// bools. `--help` prints the usage page and exits 0; unknown flags and
-// malformed values print an error plus usage and exit 2.
+// bools. `--help` prints the usage page and exits 0; unknown flags,
+// malformed values and integers below a flag's minimum print an error plus
+// usage and exit 2.
 
 #ifndef ELDA_UTIL_ARGPARSE_H_
 #define ELDA_UTIL_ARGPARSE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,11 +35,14 @@ class ArgParser {
 
   // Registration. The destination's current value is the default shown in
   // --help; Parse overwrites it only when the flag is given. Returns *this
-  // for chaining.
+  // for chaining. An Int `min` (shown in --help) rejects smaller values
+  // given on the command line; the default itself is not checked, so a
+  // sentinel such as -1 can stand for "derive from other flags".
   ArgParser& String(const std::string& name, std::string* value,
                     const std::string& help);
   ArgParser& Int(const std::string& name, int64_t* value,
-                 const std::string& help);
+                 const std::string& help,
+                 std::optional<int64_t> min = std::nullopt);
   ArgParser& Double(const std::string& name, double* value,
                     const std::string& help);
   ArgParser& Bool(const std::string& name, bool* value,
@@ -59,6 +64,7 @@ class ArgParser {
     void* dest;
     std::string help;
     std::string default_repr;
+    std::optional<int64_t> min;  // kInt only
     bool provided = false;
   };
 
@@ -67,7 +73,8 @@ class ArgParser {
   Flag* Find(const std::string& name);
   const Flag* Find(const std::string& name) const;
   // Assigns `value` to the flag's destination; returns false (with a
-  // message in *error) when the value does not parse as the flag's type.
+  // message in *error) when the value does not parse as the flag's type or
+  // is below its minimum.
   bool Assign(Flag* flag, const std::string& value, std::string* error);
 
   std::string program_;

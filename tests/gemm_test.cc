@@ -1,12 +1,14 @@
 // Bitwise-identity tests for the GEMM and axis-sum kernels.
 //
-// MatMul's contract (tensor_ops.h) is that every kernel — the simple
-// small-product loops and the packed cache-blocked microkernel — produces
-// output bit-for-bit equal to GemmReference for every shape, transpose
-// combination, and thread count. These tests enforce that with memcmp, not
-// tolerances: any reassociation, accumulator splitting, or zero-skipping
-// shortcut in a kernel shows up as a hard failure here.
+// MatMul's contract (tensor_ops.h) is that both kernels — the Product tasks
+// that serve every small product and the packed cache-blocked microkernel —
+// produce output bit-for-bit equal to GemmReference for every shape,
+// transpose combination, and thread count, and store every output element
+// (the output is allocated uninitialised). These tests enforce that with
+// memcmp, not tolerances: any reassociation, accumulator splitting, or
+// zero-skipping shortcut in a kernel shows up as a hard failure here.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "mem/pool.h"
 #include "par/par.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -148,79 +151,182 @@ Tensor SpecialTensor(std::vector<int64_t> shape, uint64_t seed) {
   return t;
 }
 
-// GemmReference of aᵀ b for a stored [K, M] and b stored [K, N], run on
-// [M,K] x [N,K]ᵀ copies: the same chains, read contiguously so the long-k
-// cases stay cheap.
-std::vector<float> TnReference(const Tensor& a, const Tensor& b) {
-  const int64_t k = a.shape(0), m = a.shape(1), n = b.shape(1);
+// An operand stored as `trans` asks: [rows, cols] logical, [cols, rows]
+// stored when transposed.
+std::vector<int64_t> Stored(int64_t rows, int64_t cols, bool trans) {
+  return trans ? std::vector<int64_t>{cols, rows}
+               : std::vector<int64_t>{rows, cols};
+}
+
+// GemmReference of op(a) op(b) (2-D operands), run on [M,K] x [N,K]ᵀ
+// copies: the same chains, read contiguously so the long-k cases stay cheap.
+std::vector<float> Reference(const Tensor& a, const Tensor& b, bool ta,
+                             bool tb) {
+  const Tensor at = ta ? Transpose(a) : a;
+  const Tensor bt = tb ? b : Transpose(b);
+  const int64_t m = at.shape(0), k = at.shape(1), n = bt.shape(0);
   std::vector<float> ref(static_cast<size_t>(m * n));
-  const Tensor at = Transpose(a);
-  const Tensor bt = Transpose(b);
   GemmReference(at.data(), bt.data(), ref.data(), m, k, n, false, true);
   return ref;
 }
 
-// MatMul(a, b, trans_a) against rows [0, m) and columns [0, n) of `ref`,
-// a reference over the first m columns of a and n columns of b.
-void ExpectTnMatches(const Tensor& a, const Tensor& b,
-                     const std::vector<float>& ref, int64_t ldr,
-                     const std::vector<int64_t>& thread_counts) {
-  const int64_t k = a.shape(0), m = a.shape(1), n = b.shape(1);
+// MatMul(a, b, ta, tb) against rows [0, m) and columns [0, n) of `ref`, a
+// reference with row stride ldr over a superset of a's rows and b's columns.
+void ExpectSliceMatches(const Tensor& a, const Tensor& b, bool ta, bool tb,
+                        const std::vector<float>& ref, int64_t ldr,
+                        const std::vector<int64_t>& thread_counts) {
   for (int64_t threads : thread_counts) {
     par::ScopedNumThreads scoped(threads);
-    const Tensor c = MatMul(a, b, /*trans_a=*/true);
+    const Tensor c = MatMul(a, b, ta, tb);
+    const int64_t m = c.shape(0), n = c.shape(1);
     for (int64_t i = 0; i < m; ++i) {
       ASSERT_EQ(std::memcmp(c.data() + i * n, ref.data() + i * ldr,
                             static_cast<size_t>(n) * sizeof(float)),
                 0)
-          << "m=" << m << " k=" << k << " n=" << n << " row=" << i
+          << "m=" << m << " k=" << a.shape(ta ? 0 : 1) << " n=" << n
+          << " trans_a=" << ta << " trans_b=" << tb << " row=" << i
           << " threads=" << threads;
     }
   }
 }
 
-TEST(GemmBitwiseTest, TnProductTasks) {
-  // TN products the packed kernel does not take run as register-blocked
-  // 4-row column-block tasks, or, with n < 16, put C's rows on the vector
-  // lanes. Both must equal the strict-k reference, specials included, at
-  // every thread count. k = 113664 is the tile backward's dp length (B=64,
-  // T=48, C=37). Operands are column slices of one pair of tensors per k;
-  // an output's chain reads only its own column of each, so one reference
-  // over the full pair covers every slice.
+// Batched (b 3-D) or shared-rhs (b 2-D) MatMul of 3-D a against
+// GemmReference per item.
+void ExpectBatchMatches(const Tensor& a, const Tensor& b, bool ta, bool tb,
+                        const std::vector<int64_t>& thread_counts) {
+  const int64_t batch = a.shape(0);
+  const int64_t m = a.shape(ta ? 2 : 1), k = a.shape(ta ? 1 : 2);
+  const int64_t n = b.shape(tb ? -2 : -1);
+  const bool shared = b.dim() == 2;
+  std::vector<float> ref(static_cast<size_t>(batch * m * n));
+  for (int64_t i = 0; i < batch; ++i) {
+    GemmReference(a.data() + i * m * k, b.data() + (shared ? 0 : i * k * n),
+                  ref.data() + i * m * n, m, k, n, ta, tb);
+  }
+  for (int64_t threads : thread_counts) {
+    par::ScopedNumThreads scoped(threads);
+    const Tensor c = MatMul(a, b, ta, tb);
+    ASSERT_EQ(std::memcmp(c.data(), ref.data(), ref.size() * sizeof(float)),
+              0)
+        << "batch=" << batch << " m=" << m << " k=" << k << " n=" << n
+        << " shared=" << shared << " trans_a=" << ta << " trans_b=" << tb
+        << " threads=" << threads;
+  }
+}
+
+TEST(GemmBitwiseTest, ProductTasks) {
+  // Products the packed kernel does not take run as 4-row Product tasks
+  // with the lanes on C's columns (NN, and TN unless m > n) or its rows
+  // (TT, and TN with m > n); NT copies its narrower side transposed first.
+  // Every transpose must equal the strict-k reference, specials included,
+  // at every thread count. k = 113664 is the tile backward's dp length
+  // (B=64, T=48, C=37). Operands are slices of one pair of tensors per k
+  // and transpose; an output's chain reads only its own row of op(a) and
+  // column of op(b), so one reference over the full pair covers every
+  // slice. m = 9 with n >= 16 crosses into the packed kernel.
   uint64_t seed = 4001;
-  for (int64_t k : {1, 4095, 4096, 64 * 48 * 37}) {
-    const Tensor a_all = SpecialTensor({k, 8}, seed++);
-    const Tensor b_all = SpecialTensor({k, 48}, seed++);
-    const std::vector<float> ref = TnReference(a_all, b_all);
-    for (int64_t m = 1; m <= 8; ++m) {
-      const Tensor a = Slice(a_all, 1, 0, m);
-      for (int64_t n : {1, 15, 16, 17, 33, 48}) {
-        ExpectTnMatches(a, Slice(b_all, 1, 0, n), ref, 48, {1, 2, 4});
+  for (int64_t k : {1, 64, 4095, 64 * 48 * 37}) {
+    for (int ta = 0; ta < 2; ++ta) {
+      for (int tb = 0; tb < 2; ++tb) {
+        const Tensor a_all = SpecialTensor(Stored(9, k, ta != 0), seed++);
+        const Tensor b_all = SpecialTensor(Stored(k, 48, tb != 0), seed++);
+        const std::vector<float> ref =
+            Reference(a_all, b_all, ta != 0, tb != 0);
+        for (int64_t m = 1; m <= 9; ++m) {
+          const Tensor a = Slice(a_all, ta ? 1 : 0, 0, m);
+          for (int64_t n : {1, 15, 16, 17, 48}) {
+            ExpectSliceMatches(a, Slice(b_all, tb ? 0 : 1, 0, n), ta != 0,
+                               tb != 0, ref, 48, {1, 2, 4});
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  // Many lanes on C's rows or columns: several 48-lane blocks and a tail.
+  for (const auto& [m, k, n] : std::vector<std::array<int64_t, 3>>{
+           {113, 3008, 1}, {1, 3008, 113}, {100, 257, 7}, {7, 257, 100}}) {
+    for (int ta = 0; ta < 2; ++ta) {
+      for (int tb = 0; tb < 2; ++tb) {
+        const Tensor a = SpecialTensor(Stored(m, k, ta != 0), seed++);
+        const Tensor b = SpecialTensor(Stored(k, n, tb != 0), seed++);
+        ExpectSliceMatches(a, b, ta != 0, tb != 0,
+                           Reference(a, b, ta != 0, tb != 0), n, {1, 2, 4});
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }
-  // Narrow products with many rows: several 48-lane tasks and a tail.
+  // Batches of small products, per-item and shared rhs: each item runs its
+  // tasks serially; the NT copy covers every item of its side.
   for (const auto& [m, k, n] : std::vector<std::array<int64_t, 3>>{
-           {113, 3008, 1}, {64, 3008, 1}, {100, 257, 7}}) {
-    const Tensor a = SpecialTensor({k, m}, seed++);
-    const Tensor b = SpecialTensor({k, n}, seed++);
-    ExpectTnMatches(a, b, TnReference(a, b), n, {1, 2, 4});
+           {1, 64, 7}, {1, 64, 47}, {47, 64, 1}, {6, 50, 20}, {20, 1, 6}}) {
+    for (int ta = 0; ta < 2; ++ta) {
+      for (int tb = 0; tb < 2; ++tb) {
+        std::vector<int64_t> a_shape = Stored(m, k, ta != 0);
+        a_shape.insert(a_shape.begin(), 5);
+        std::vector<int64_t> b_shape = Stored(k, n, tb != 0);
+        const Tensor a = SpecialTensor(a_shape, seed++);
+        ExpectBatchMatches(a, SpecialTensor(b_shape, seed++), ta != 0,
+                           tb != 0, {1, 2, 4});
+        b_shape.insert(b_shape.begin(), 5);
+        ExpectBatchMatches(a, SpecialTensor(b_shape, seed++), ta != 0,
+                           tb != 0, {1, 2, 4});
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
   }
-  // A batch of small TN products: each item runs its tasks serially.
-  const int64_t batch = 5, m = 6, k = 50, n = 20;
-  const Tensor a = SpecialTensor({batch, k, m}, seed++);
-  const Tensor b = SpecialTensor({batch, k, n}, seed++);
-  std::vector<float> ref(static_cast<size_t>(batch * m * n));
-  for (int64_t i = 0; i < batch; ++i) {
-    GemmReference(a.data() + i * k * m, b.data() + i * k * n,
-                  ref.data() + i * m * n, m, k, n, true, false);
-  }
-  for (int64_t threads : {1, 2, 4}) {
-    par::ScopedNumThreads scoped(threads);
-    const Tensor c = MatMul(a, b, /*trans_a=*/true);
-    EXPECT_EQ(std::memcmp(c.data(), ref.data(), ref.size() * sizeof(float)), 0)
-        << "batched threads=" << threads;
+}
+
+TEST(GemmBitwiseTest, EveryKernelStoresEveryOutput) {
+  // MatMul allocates its output uninitialised, so a task that skips an
+  // element would leave stale memory behind. Fill the output's pool bucket
+  // with NaN first: any element not stored reads NaN, not the reference.
+  mem::ScopedPoolEnabled force(true);
+  mem::Pool& pool = mem::Pool::Global();
+  uint64_t seed = 7001;
+  // Outputs of at least kMinPooledFloats (8192) go through the freelists:
+  // lanes on C's columns (n wide), on its rows (m > n), a batch, packed.
+  for (const auto& [batch, m, k, n] : std::vector<std::array<int64_t, 4>>{
+           {1, 5, 3, 2000}, {1, 1000, 7, 9}, {512, 9, 5, 17},
+           {1, 96, 40, 96}}) {
+    for (int ta = 0; ta < 2; ++ta) {
+      for (int tb = 0; tb < 2; ++tb) {
+        std::vector<int64_t> a_shape = Stored(m, k, ta != 0);
+        std::vector<int64_t> b_shape = Stored(k, n, tb != 0);
+        if (batch > 1) {
+          a_shape.insert(a_shape.begin(), batch);
+          b_shape.insert(b_shape.begin(), batch);
+        }
+        const Tensor a = SpecialTensor(a_shape, seed++);
+        const Tensor b = SpecialTensor(b_shape, seed++);
+        std::vector<float> ref(static_cast<size_t>(batch * m * n));
+        for (int64_t i = 0; i < batch; ++i) {
+          GemmReference(a.data() + i * m * k, b.data() + i * k * n,
+                        ref.data() + i * m * n, m, k, n, ta != 0, tb != 0);
+        }
+        for (int64_t threads : {1, 4}) {
+          par::ScopedNumThreads scoped(threads);
+          pool.Trim();
+          const int32_t bucket = mem::Pool::BucketFor(batch * m * n);
+          ASSERT_GE(bucket, 0);
+          float* stale[2];
+          for (float*& p : stale) {
+            int32_t got = 0;
+            p = pool.Acquire(mem::Pool::BucketCapacity(bucket), &got);
+            std::fill_n(p, mem::Pool::BucketCapacity(bucket),
+                        std::numeric_limits<float>::quiet_NaN());
+          }
+          for (float* p : stale) pool.Release(p, bucket);
+          const Tensor c = MatMul(a, b, ta != 0, tb != 0);
+          ASSERT_EQ(
+              std::memcmp(c.data(), ref.data(), ref.size() * sizeof(float)),
+              0)
+              << "batch=" << batch << " m=" << m << " k=" << k << " n=" << n
+              << " trans_a=" << ta << " trans_b=" << tb
+              << " threads=" << threads;
+        }
+      }
+    }
   }
 }
 

@@ -79,6 +79,23 @@ TEST(ArgParserDeathTest, UnknownFlagAndMalformedValueExitWithUsage) {
               ::testing::ExitedWithCode(2), "invalid int value");
 }
 
+TEST(ArgParserDeathTest, IntBelowMinimumExitsWithUsage) {
+  int64_t count = -1;  // sentinel default, below the minimum
+  util::ArgParser parser("prog", "test");
+  parser.Int("count", &count, "how many", /*min=*/1);
+  EXPECT_NE(parser.Usage().find("(default: -1, min: 1)"), std::string::npos);
+  const char* zero[] = {"prog", "--count=0"};
+  EXPECT_EXIT(parser.Parse(2, const_cast<char**>(zero)),
+              ::testing::ExitedWithCode(2),
+              "--count must be at least 1, got 0");
+  const char* negative[] = {"prog", "--count", "-5"};
+  EXPECT_EXIT(parser.Parse(3, const_cast<char**>(negative)),
+              ::testing::ExitedWithCode(2), "usage: prog");
+  const char* at_min[] = {"prog", "--count=1"};
+  parser.Parse(2, const_cast<char**>(at_min));
+  EXPECT_EQ(count, 1);
+}
+
 
 TEST(RngTest, DeterministicAtFixedSeed) {
   Rng a(42);
