@@ -7,6 +7,8 @@
 //
 // Flags: --admissions --epochs --runs --full
 
+#include <cstdlib>
+
 #include "bench/bench_common.h"
 #include "core/elda_net.h"
 #include "train/experiment.h"
@@ -54,6 +56,7 @@ int main(int argc, char** argv) {
   auto add = [&](const std::string& label, const core::EldaNetConfig& cfg) {
     train::ModelStats stats =
         RunConfig(cfg, experiment, scale.trainer, scale.runs);
+    if (bench::AllRunsFailed(stats, scale.runs)) std::exit(1);
     table.AddRow({label, TablePrinter::Num(stats.auc_pr.mean, 3),
                   TablePrinter::Num(stats.auc_roc.mean, 3),
                   std::to_string(stats.num_parameters)});

@@ -15,6 +15,7 @@
 
 #include "par/par.h"
 #include "synth/simulator.h"
+#include "train/experiment.h"
 #include "train/trainer.h"
 #include "util/argparse.h"
 #include "util/table.h"
@@ -109,6 +110,17 @@ inline synth::CohortConfig ScaledMimic(const BenchScale& scale) {
   synth::CohortConfig config = synth::SynthMimicIii();
   config.num_admissions = scale.mimic_admissions;
   return config;
+}
+
+// True, after saying so on stderr, when every one of `runs` runs of a model
+// failed (RunRepeated has already printed each run's status, e.g. an empty
+// train split). The binary then exits 1 instead of printing a table of
+// empty aggregates.
+inline bool AllRunsFailed(const train::ModelStats& stats, int64_t runs) {
+  if (stats.failed_runs < runs) return false;
+  std::cerr << "error: all " << runs << " run(s) of " << stats.name
+            << " failed (status above); no result to report\n";
+  return true;
 }
 
 inline void PrintHeader(const std::string& title, const std::string& notes) {

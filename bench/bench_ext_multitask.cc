@@ -65,6 +65,7 @@ int main(int argc, char** argv) {
         "ELDA-Net", mortality, scale.trainer, /*num_runs=*/1);
     train::ModelStats l =
         baselines::RunModelByName("ELDA-Net", los, scale.trainer, 1);
+    if (bench::AllRunsFailed(m, 1) || bench::AllRunsFailed(l, 1)) return 1;
     table.AddRow({"two single-task ELDA-Nets",
                   TablePrinter::Num(m.auc_pr.mean, 3),
                   TablePrinter::Num(l.auc_pr.mean, 3),

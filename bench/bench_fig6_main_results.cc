@@ -43,7 +43,8 @@ std::string WithStd(const metrics::MeanStd& ms, int precision = 3) {
   return out;
 }
 
-void RunSetting(const std::string& dataset_name,
+// Returns false when every run of some model failed.
+bool RunSetting(const std::string& dataset_name,
                 const synth::CohortConfig& config, data::Task task,
                 const std::vector<std::string>& models,
                 const bench::BenchScale& scale) {
@@ -62,6 +63,7 @@ void RunSetting(const std::string& dataset_name,
     train::ModelStats stats =
         baselines::RunModelByName(name, experiment, scale.trainer,
                                   scale.runs);
+    if (bench::AllRunsFailed(stats, scale.runs)) return false;
     table.AddRow({stats.name, WithStd(stats.bce), WithStd(stats.auc_roc),
                   WithStd(stats.auc_pr),
                   std::to_string(stats.num_parameters)});
@@ -86,6 +88,7 @@ void RunSetting(const std::string& dataset_name,
                  "+2.5%/+0.5% LOS at full scale)\n";
   }
   std::cout << std::endl;
+  return true;
 }
 
 }  // namespace
@@ -136,7 +139,7 @@ int main(int argc, char** argv) {
   }
   for (const auto& [name, config] : datasets) {
     for (data::Task task : tasks) {
-      RunSetting(name, config, task, models, scale);
+      if (!RunSetting(name, config, task, models, scale)) return 1;
     }
   }
   return 0;

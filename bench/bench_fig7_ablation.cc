@@ -26,7 +26,8 @@ std::string WithStd(const metrics::MeanStd& ms) {
   return out;
 }
 
-void RunSetting(const std::string& dataset_name,
+// Returns false when every run of some variant failed.
+bool RunSetting(const std::string& dataset_name,
                 const synth::CohortConfig& config, data::Task task,
                 const bench::BenchScale& scale) {
   const std::string task_name =
@@ -46,11 +47,13 @@ void RunSetting(const std::string& dataset_name,
     train::ModelStats stats =
         baselines::RunModelByName(name, experiment, scale.trainer,
                                   scale.runs);
+    if (bench::AllRunsFailed(stats, scale.runs)) return false;
     table.AddRow({stats.name, WithStd(stats.bce), WithStd(stats.auc_roc),
                   WithStd(stats.auc_pr)});
     std::cout << "." << std::flush;
   }
   std::cout << "\n" << table.ToString() << std::endl;
+  return true;
 }
 
 }  // namespace
@@ -92,7 +95,9 @@ int main(int argc, char** argv) {
     tasks.push_back(data::Task::kLosGt7);
   }
   for (const auto& [name, config] : datasets) {
-    for (data::Task task : tasks) RunSetting(name, config, task, scale);
+    for (data::Task task : tasks) {
+      if (!RunSetting(name, config, task, scale)) return 1;
+    }
   }
   return 0;
 }

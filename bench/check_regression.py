@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Compare a fresh BENCH_micro.json against the committed baseline.
+"""Compare fresh BENCH_micro.json runs against the committed baseline.
 
 Usage:
-    python3 bench/check_regression.py FRESH.json [BASELINE.json]
-        [--threshold 0.15] [--all]
+    python3 bench/check_regression.py FRESH.json [FRESH2.json ...]
+        [--baseline BASELINE.json] [--threshold 0.15] [--all]
 
-Reads both files (baseline defaults to the committed BENCH_micro.json next
-to the repo root), joins rows by benchmark name, and fails (exit 1) when any
-*key op* regressed by more than the threshold (default 15% slower in
-ns_per_iter). Key ops are the single-thread rows of the performance
+Reads the fresh files and the baseline (default: the committed
+BENCH_micro.json next to the repo root), joins rows by benchmark name, and
+fails (exit 1) when any *key op* regressed by more than the threshold
+(default 15% slower in ns_per_iter). With several fresh files -- separate
+runs of the same binary, ideally interleaved with other work -- each row
+is judged on its median across the runs that carry it, so one run slowed
+by hypervisor steal cannot fail a row on its own. Key ops are the single-thread rows of the performance
 substrate plus the end-to-end model benches -- rows whose timing is stable
 on one machine across runs. Multi-thread scaling rows are reported but not
 gated: their baseline numbers depend on the core count of the machine that
@@ -28,6 +31,7 @@ that actually pin model behaviour live in the test suite.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 # Rows gated by default: deterministic single-thread substrate ops and the
@@ -102,13 +106,31 @@ def load_rows(path):
     return out, quality
 
 
+def median_rows(paths):
+    """Per-row median of ns_per_iter and quality metrics over several runs."""
+    runs = [load_rows(path) for path in paths]
+    ns = {}
+    quality = {}
+    for rows, qual in runs:
+        for name, value in rows.items():
+            ns.setdefault(name, []).append(value)
+        for name, metrics in qual.items():
+            for metric, value in metrics.items():
+                quality.setdefault(name, {}).setdefault(metric, []).append(value)
+    return ({name: statistics.median(v) for name, v in ns.items()},
+            {name: {m: statistics.median(v) for m, v in metrics.items()}
+             for name, metrics in quality.items()},
+            {name: len(v) for name, v in ns.items()})
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("fresh", help="freshly measured BENCH_micro.json")
+    parser.add_argument("fresh", nargs="+",
+                        help="one or more freshly measured BENCH_micro.json "
+                             "runs; rows gate on their median")
     parser.add_argument(
-        "baseline",
-        nargs="?",
+        "--baseline",
         default=os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              os.pardir, "BENCH_micro.json"),
         help="baseline json (default: committed BENCH_micro.json)")
@@ -119,8 +141,11 @@ def main():
                         help="gate every joined row, not just the key ops")
     args = parser.parse_args()
 
-    fresh, fresh_quality = load_rows(args.fresh)
+    fresh, fresh_quality, fresh_runs = median_rows(args.fresh)
     base, base_quality = load_rows(args.baseline)
+    if len(args.fresh) > 1:
+        print(f"fresh ns = median over {len(args.fresh)} runs "
+              "(rows carried by fewer runs are marked [n])")
 
     joined = sorted(set(fresh) & set(base))
     gated = set(joined) if args.all else {n for n in KEY_OPS if n in joined}
@@ -139,8 +164,10 @@ def main():
             failures.append((name, old, new, delta))
         elif is_gated:
             verdict = "ok"
+        runs = fresh_runs[name]
+        note = f" [{runs}]" if runs < len(args.fresh) else ""
         print(f"{name:<40} {old:>14.0f} {new:>14.0f} {delta:>+7.1%}  "
-              f"{verdict}")
+              f"{verdict}{note}")
 
     for name in sorted(set(base) - set(fresh)):
         print(f"{name:<40} {'(missing from fresh run)':>30}")

@@ -38,6 +38,10 @@ int main(int argc, char** argv) {
   for (const char* name : {"LR", "GRU-D", "ELDA-Net"}) {
     train::ModelStats stats = baselines::RunModelByName(
         name, experiment, trainer_config, /*num_runs=*/1);
+    if (stats.failed_runs > 0) {
+      std::cerr << "error: the " << name << " run failed (status above)\n";
+      return 1;
+    }
     table.AddRow({stats.name, TablePrinter::Num(stats.bce.mean, 3),
                   TablePrinter::Num(stats.auc_roc.mean, 3),
                   TablePrinter::Num(stats.auc_pr.mean, 3)});

@@ -10,12 +10,12 @@ namespace baselines {
 namespace {
 
 struct GruStreamState : nn::StepState {
-  void Save(nn::StateWriter* w) const override {
+  void Save(util::ByteWriter* w) const override {
     nn::StepState::Save(w);
-    w->TensorData(h);
+    nn::PutTensorData(w, h);
   }
-  bool Load(nn::StateReader* r) override {
-    return nn::StepState::Load(r) && r->TensorInto(&h);
+  bool Load(util::ByteReader* r) override {
+    return nn::StepState::Load(r) && nn::GetTensorData(r, &h);
   }
 
   Tensor h;  // [hidden]

@@ -12,20 +12,21 @@ namespace baselines {
 namespace {
 
 struct StageNetStreamState : nn::StepState {
-  explicit StageNetStreamState(int64_t ring_capacity) : staged(ring_capacity) {}
+  StageNetStreamState(int64_t ring_capacity, int64_t hidden_dim)
+      : staged(ring_capacity, hidden_dim) {}
 
-  void Save(nn::StateWriter* w) const override {
+  void Save(util::ByteWriter* w) const override {
     nn::StepState::Save(w);
-    w->TensorData(h);
-    w->TensorData(c);
-    w->Window(staged);
-    w->TensorData(conv_sum);
-    w->I64(windows);
+    nn::PutTensorData(w, h);
+    nn::PutTensorData(w, c);
+    nn::PutWindow(w, staged);
+    nn::PutTensorData(w, conv_sum);
+    w->Put(windows);
   }
-  bool Load(nn::StateReader* r) override {
-    return nn::StepState::Load(r) && r->TensorInto(&h) && r->TensorInto(&c) &&
-           r->WindowInto(&staged) && r->TensorInto(&conv_sum) &&
-           r->I64(&windows);
+  bool Load(util::ByteReader* r) override {
+    return nn::StepState::Load(r) && nn::GetTensorData(r, &h) &&
+           nn::GetTensorData(r, &c) && nn::GetWindow(r, &staged) &&
+           nn::GetTensorData(r, &conv_sum) && r->Get(&windows);
   }
 
   Tensor h;                 // [hidden]
@@ -98,7 +99,7 @@ ag::Variable StageNet::Readout(const ag::Variable& rep,
 std::unique_ptr<nn::StepState> StageNet::MakeStepState(
     int64_t /*window_capacity*/) const {
   auto state = std::make_unique<StageNetStreamState>(
-      std::max<int64_t>(1, conv_kernel_ - 1));
+      std::max<int64_t>(1, conv_kernel_ - 1), hidden_dim_);
   state->h = Tensor::Zeros({hidden_dim_});
   state->c = Tensor::Zeros({hidden_dim_});
   state->conv_sum = Tensor::Zeros({conv_channels_});

@@ -15,24 +15,28 @@ namespace core {
 namespace {
 
 struct EldaNetStreamState : nn::StepState {
-  explicit EldaNetStreamState(int64_t window_capacity)
-      : h_prev(window_capacity), obs_x(window_capacity),
-        obs_mask(window_capacity) {}
+  EldaNetStreamState(int64_t window_capacity, int64_t hidden_dim,
+                     int64_t num_features)
+      : h_prev(window_capacity, hidden_dim),
+        obs_x(window_capacity, num_features),
+        obs_mask(window_capacity, num_features) {}
 
-  void Save(nn::StateWriter* w) const override {
+  void Save(util::ByteWriter* w) const override {
     nn::StepState::Save(w);
-    w->TensorData(h);
-    w->Window(h_prev);
-    w->Window(obs_x);
-    w->Window(obs_mask);
-    w->Bytes(seen);
+    nn::PutTensorData(w, h);
+    nn::PutWindow(w, h_prev);
+    nn::PutWindow(w, obs_x);
+    nn::PutWindow(w, obs_mask);
+    w->Put(static_cast<int64_t>(seen.size()));
+    w->PutArray(seen.data(), seen.size());
   }
-  bool Load(nn::StateReader* r) override {
-    const size_t seen_size = seen.size();
-    return nn::StepState::Load(r) && r->TensorInto(&h) &&
-           r->WindowInto(&h_prev) && r->WindowInto(&obs_x) &&
-           r->WindowInto(&obs_mask) && r->Bytes(&seen) &&
-           seen.size() == seen_size;
+  bool Load(util::ByteReader* r) override {
+    int64_t seen_size = 0;
+    return nn::StepState::Load(r) && nn::GetTensorData(r, &h) &&
+           nn::GetWindow(r, &h_prev) && nn::GetWindow(r, &obs_x) &&
+           nn::GetWindow(r, &obs_mask) && r->Get(&seen_size) &&
+           seen_size == static_cast<int64_t>(seen.size()) &&
+           r->GetArray(seen.data(), seen.size());
   }
 
   Tensor h;                  // [H] current GRU state (full history)
@@ -354,7 +358,8 @@ int64_t EldaNet::encoding_dim() const {
 std::unique_ptr<nn::StepState> EldaNet::MakeStepState(
     int64_t window_capacity) const {
   ELDA_CHECK_GE(window_capacity, 1);
-  auto state = std::make_unique<EldaNetStreamState>(window_capacity);
+  auto state = std::make_unique<EldaNetStreamState>(
+      window_capacity, config_.hidden_dim, config_.num_features);
   state->h = Tensor::Zeros({config_.hidden_dim});
   if (uses_missing_embedding()) {
     state->seen.assign(static_cast<size_t>(config_.num_features), 0);

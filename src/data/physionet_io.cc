@@ -6,14 +6,13 @@
 #include <map>
 #include <sstream>
 
+#include "util/byte_codec.h"
+
 namespace elda {
 namespace data {
 namespace {
 
-bool Fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
+using util::Fail;
 
 std::vector<std::string> SplitCsvLine(const std::string& line) {
   std::vector<std::string> cells;

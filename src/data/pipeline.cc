@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+
+#include "util/byte_codec.h"
 
 namespace elda {
 namespace data {
+namespace {
+
+constexpr uint32_t kBatcherStateMagic = 0x42435253;  // "SRCB"
+
+}  // namespace
 
 void Standardizer::Fit(const EmrDataset& dataset,
                        const std::vector<int64_t>& train_indices,
@@ -233,40 +239,32 @@ bool Batcher::Next(Batch* batch) {
 }
 
 std::string Batcher::ExportState() const {
-  std::string state;
-  const uint32_t magic = 0x42435253;  // "SRCB"
-  state.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  const uint64_t n = indices_.size();
-  state.append(reinterpret_cast<const char*>(&n), sizeof(n));
-  state.append(reinterpret_cast<const char*>(indices_.data()),
-               n * sizeof(int64_t));
-  const int64_t cursor = cursor_;
-  state.append(reinterpret_cast<const char*>(&cursor), sizeof(cursor));
-  return state;
+  util::ByteWriter state;
+  state.Put<uint32_t>(kBatcherStateMagic);
+  state.Put<uint64_t>(indices_.size());
+  state.PutArray(indices_.data(), indices_.size());
+  state.Put<int64_t>(cursor_);
+  return state.Take();
 }
 
 bool Batcher::RestoreState(const std::string& state) {
-  if (state.size() < sizeof(uint32_t) + sizeof(uint64_t)) return false;
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(state.data());
-  uint32_t magic;
-  std::memcpy(&magic, p, sizeof(magic));
-  if (magic != 0x42435253) return false;
-  uint64_t n;
-  std::memcpy(&n, p + 4, sizeof(n));
-  if (n != indices_.size() ||
-      state.size() != 12 + n * sizeof(int64_t) + sizeof(int64_t)) {
+  util::ByteReader reader(state);
+  uint32_t magic = 0;
+  uint64_t n = 0;
+  std::vector<int64_t> order;
+  int64_t cursor = 0;
+  reader.Get(&magic);
+  reader.Get(&n);
+  if (magic != kBatcherStateMagic || n != indices_.size() ||
+      !reader.GetArray(&order, n) || !reader.Get(&cursor) || !reader.AtEnd()) {
     return false;
   }
-  std::vector<int64_t> order(n);
-  std::memcpy(order.data(), p + 12, n * sizeof(int64_t));
   {
     std::vector<int64_t> a = indices_, b = order;
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     if (a != b) return false;
   }
-  int64_t cursor;
-  std::memcpy(&cursor, p + 12 + n * sizeof(int64_t), sizeof(cursor));
   if (cursor < 0 || cursor > static_cast<int64_t>(n)) return false;
   indices_ = std::move(order);
   cursor_ = cursor;

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "health/crc32.h"
+#include "util/byte_codec.h"
 #include "util/logging.h"
 
 namespace elda {
@@ -25,18 +26,6 @@ constexpr uint64_t kFrameHeaderSize = 8;  // frame_magic | payload_size
 // payload prefix before the value/observed grids:
 // length | num_steps | num_features | mortality | los | patient_id | cond
 constexpr uint32_t kRecordPrefixSize = 4 + 4 + 4 + 4 + 4 + 8 + 8;
-
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T ReadPod(const uint8_t* p) {
-  T value;
-  std::memcpy(&value, p, sizeof(T));
-  return value;
-}
 
 }  // namespace
 
@@ -67,38 +56,37 @@ ShardWriter::ShardWriter(const std::string& path,
   file_ = std::fopen(path.c_str(), "wb");
   ELDA_CHECK(file_ != nullptr) << "cannot create shard " << path;
 
-  std::string header;
-  AppendPod<uint32_t>(&header, kHeaderMagic);
-  AppendPod<uint32_t>(&header, kShardFormatVersion);
-  AppendPod<uint32_t>(&header, static_cast<uint32_t>(feature_names_.size()));
-  AppendPod<uint32_t>(&header, 0);  // flags
-  AppendPod<uint64_t>(&header, 0);  // reserved
-  AppendPod<uint32_t>(&header,
-                      health::Crc32(header.data(), header.size()));
-  if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
+  util::ByteWriter header;
+  header.Put<uint32_t>(kHeaderMagic);
+  header.Put<uint32_t>(kShardFormatVersion);
+  header.Put<uint32_t>(static_cast<uint32_t>(feature_names_.size()));
+  header.Put<uint32_t>(0);  // flags
+  header.Put<uint64_t>(0);  // reserved
+  header.Put<uint32_t>(health::Crc32(header.bytes()));
+  if (std::fwrite(header.bytes().data(), 1, header.size(), file_) !=
+      header.size()) {
     failed_ = true;
   }
 
-  std::string meta;
-  AppendPod<uint32_t>(&meta, static_cast<uint32_t>(feature_names_.size()));
+  util::ByteWriter meta;
+  meta.Put<uint32_t>(static_cast<uint32_t>(feature_names_.size()));
   for (const std::string& name : feature_names_) {
-    AppendPod<uint32_t>(&meta, static_cast<uint32_t>(name.size()));
-    meta.append(name);
+    meta.PutString<uint32_t>(name);
   }
-  WriteFrame(kMetaMagic, meta);
+  WriteFrame(kMetaMagic, meta.bytes());
 }
 
 ShardWriter::~ShardWriter() { Close(); }
 
 void ShardWriter::WriteFrame(uint32_t frame_magic, const std::string& payload) {
   if (file_ == nullptr || failed_) return;
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size() + 4);
-  AppendPod<uint32_t>(&frame, frame_magic);
-  AppendPod<uint32_t>(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
-  AppendPod<uint32_t>(&frame, health::Crc32(payload.data(), payload.size()));
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
+  util::ByteWriter frame;
+  frame.Reserve(kFrameHeaderSize + payload.size() + 4);
+  frame.Put<uint32_t>(frame_magic);
+  frame.PutString<uint32_t>(payload);
+  frame.Put<uint32_t>(health::Crc32(payload));
+  if (std::fwrite(frame.bytes().data(), 1, frame.size(), file_) !=
+      frame.size()) {
     failed_ = true;
   }
 }
@@ -109,18 +97,20 @@ void ShardWriter::Append(const EmrSample& sample) {
   ELDA_CHECK(sample.length >= 0 && sample.length <= sample.num_steps);
   const size_t cells = static_cast<size_t>(sample.num_steps) *
                        static_cast<size_t>(sample.num_features);
-  std::string payload;
-  payload.reserve(kRecordPrefixSize + cells * (sizeof(float) + 1));
-  AppendPod<uint32_t>(&payload, static_cast<uint32_t>(sample.length));
-  AppendPod<uint32_t>(&payload, static_cast<uint32_t>(sample.num_steps));
-  AppendPod<uint32_t>(&payload, static_cast<uint32_t>(sample.num_features));
-  AppendPod<float>(&payload, sample.mortality_label);
-  AppendPod<float>(&payload, sample.los_gt7_label);
-  AppendPod<int64_t>(&payload, sample.patient_id);
-  AppendPod<int64_t>(&payload, sample.condition);
-  payload.append(reinterpret_cast<const char*>(sample.values.data()),
-                 cells * sizeof(float));
-  payload.append(reinterpret_cast<const char*>(sample.observed.data()), cells);
+  util::ByteWriter payload;
+  payload.Reserve(kRecordPrefixSize + cells * (sizeof(float) + 1) + 8 +
+                  (sample.decomp_labels.size() +
+                   sample.phenotype_labels.size()) *
+                      sizeof(float));
+  payload.Put<uint32_t>(static_cast<uint32_t>(sample.length));
+  payload.Put<uint32_t>(static_cast<uint32_t>(sample.num_steps));
+  payload.Put<uint32_t>(static_cast<uint32_t>(sample.num_features));
+  payload.Put<float>(sample.mortality_label);
+  payload.Put<float>(sample.los_gt7_label);
+  payload.Put<int64_t>(sample.patient_id);
+  payload.Put<int64_t>(sample.condition);
+  payload.PutArray(sample.values.data(), cells);
+  payload.PutArray(sample.observed.data(), cells);
   // v2 label trailer. Counts are validated here so a malformed sample fails
   // at write time, not as a quarantined record at read time.
   const uint32_t num_decomp =
@@ -131,13 +121,11 @@ void ShardWriter::Append(const EmrSample& sample) {
       static_cast<uint32_t>(sample.phenotype_labels.size());
   ELDA_CHECK(num_pheno == 0 ||
              num_pheno == static_cast<uint32_t>(kNumPhenotypes));
-  AppendPod<uint32_t>(&payload, num_decomp);
-  payload.append(reinterpret_cast<const char*>(sample.decomp_labels.data()),
-                 num_decomp * sizeof(float));
-  AppendPod<uint32_t>(&payload, num_pheno);
-  payload.append(reinterpret_cast<const char*>(sample.phenotype_labels.data()),
-                 num_pheno * sizeof(float));
-  WriteFrame(kRecordMagic, payload);
+  payload.Put<uint32_t>(num_decomp);
+  payload.PutArray(sample.decomp_labels.data(), num_decomp);
+  payload.Put<uint32_t>(num_pheno);
+  payload.PutArray(sample.phenotype_labels.data(), num_pheno);
+  WriteFrame(kRecordMagic, payload.bytes());
   ++num_records_;
 }
 
@@ -176,10 +164,14 @@ ShardReader::ShardReader(const std::string& path) : path_(path) {
   }
   map_ = static_cast<const uint8_t*>(map);
 
-  const uint32_t magic = ReadPod<uint32_t>(map_);
-  const uint32_t version = ReadPod<uint32_t>(map_ + 4);
-  num_features_ = ReadPod<uint32_t>(map_ + 8);
-  const uint32_t header_crc = ReadPod<uint32_t>(map_ + kHeaderSize - 4);
+  util::ByteReader header(map_, kHeaderSize);
+  uint32_t magic = 0, version = 0, num_features = 0, header_crc = 0;
+  header.Get(&magic);
+  header.Get(&version);
+  header.Get(&num_features);
+  header.Take(4 + 8);  // flags, reserved
+  header.Get(&header_crc);
+  num_features_ = num_features;
   if (magic != kHeaderMagic) {
     Fail("bad shard magic: " + path);
     return;
@@ -208,144 +200,129 @@ void ShardReader::Fail(std::string message) {
 }
 
 void ShardReader::ScanFrames() {
-  uint64_t offset = kHeaderSize;
-  while (offset + kFrameHeaderSize <= map_size_) {
-    const uint32_t frame_magic = ReadPod<uint32_t>(map_ + offset);
-    const uint32_t payload_size = ReadPod<uint32_t>(map_ + offset + 4);
+  util::ByteReader scan(map_ + kHeaderSize, map_size_ - kHeaderSize);
+  while (scan.remaining() >= kFrameHeaderSize) {
+    uint32_t frame_magic = 0;
+    std::string_view payload;
+    uint32_t crc = 0;
+    scan.Get(&frame_magic);
     if (frame_magic != kMetaMagic && frame_magic != kRecordMagic) {
       tail_truncated_ = true;  // chain broken; keep the valid prefix
       return;
     }
-    const uint64_t frame_end =
-        offset + kFrameHeaderSize + static_cast<uint64_t>(payload_size) + 4;
-    if (frame_end > map_size_) {
+    if (!scan.GetView<uint32_t>(&payload) || !scan.Get(&crc)) {
       tail_truncated_ = true;  // torn tail: writer died mid-record
       return;
     }
-    const uint8_t* payload = map_ + offset + kFrameHeaderSize;
     if (frame_magic == kMetaMagic) {
-      const uint32_t crc = ReadPod<uint32_t>(payload + payload_size);
-      if (health::Crc32(payload, payload_size) == crc) {
-        ParseMeta(payload, payload_size);
+      if (health::Crc32(payload) == crc) {
+        ParseMeta(payload);
       } else {
         ++num_quarantined_;
       }
     } else {
       RecordRef ref;
-      ref.payload_offset = offset + kFrameHeaderSize;
-      ref.payload_size = payload_size;
+      ref.payload_offset = static_cast<uint64_t>(
+          payload.data() - reinterpret_cast<const char*>(map_));
+      ref.payload_size = static_cast<uint32_t>(payload.size());
+      ref.crc = crc;
       records_.push_back(ref);
     }
-    offset = frame_end;
   }
-  if (offset != map_size_) tail_truncated_ = true;
+  if (scan.remaining() != 0) tail_truncated_ = true;
 }
 
-bool ShardReader::ParseMeta(const uint8_t* payload, uint32_t size) {
-  if (size < 4) return false;
-  const uint32_t count = ReadPod<uint32_t>(payload);
-  uint32_t pos = 4;
+bool ShardReader::ParseMeta(std::string_view payload) {
+  util::ByteReader reader(payload);
+  uint32_t count = 0;
+  if (!reader.Get(&count)) return false;
   std::vector<std::string> names;
-  names.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    if (pos + 4 > size) return false;
-    const uint32_t len = ReadPod<uint32_t>(payload + pos);
-    pos += 4;
-    if (pos + len > size) return false;
-    names.emplace_back(reinterpret_cast<const char*>(payload + pos), len);
-    pos += len;
+    std::string name;
+    if (!reader.GetString<uint32_t>(&name)) return false;
+    names.push_back(std::move(name));
   }
+  if (!reader.AtEnd()) return false;
   feature_names_ = std::move(names);
   return true;
 }
 
-int64_t ShardReader::PeekLength(int64_t i) const {
+std::string_view ShardReader::Payload(int64_t i) const {
   ELDA_CHECK(i >= 0 && i < size());
   const RecordRef& ref = records_[static_cast<size_t>(i)];
-  if (ref.payload_size < 4) return -1;
-  return ReadPod<uint32_t>(map_ + ref.payload_offset);
+  return std::string_view(
+      reinterpret_cast<const char*>(map_) + ref.payload_offset,
+      ref.payload_size);
+}
+
+int64_t ShardReader::PeekLength(int64_t i) const {
+  util::ByteReader reader(Payload(i));
+  uint32_t length = 0;
+  return reader.Get(&length) ? length : -1;
 }
 
 bool ShardReader::PeekShape(int64_t i, int64_t* length,
                             int64_t* num_steps) const {
-  ELDA_CHECK(i >= 0 && i < size());
-  const RecordRef& ref = records_[static_cast<size_t>(i)];
-  if (ref.payload_size < 8) return false;
-  *length = ReadPod<uint32_t>(map_ + ref.payload_offset);
-  *num_steps = ReadPod<uint32_t>(map_ + ref.payload_offset + 4);
+  util::ByteReader reader(Payload(i));
+  uint32_t len = 0, steps = 0;
+  if (!reader.Get(&len) || !reader.Get(&steps)) return false;
+  *length = len;
+  *num_steps = steps;
   return true;
 }
 
 bool ShardReader::Read(int64_t i, EmrSample* out) {
-  ELDA_CHECK(i >= 0 && i < size());
-  const RecordRef& ref = records_[static_cast<size_t>(i)];
-  const uint8_t* payload = map_ + ref.payload_offset;
-  const uint32_t stored_crc =
-      ReadPod<uint32_t>(payload + ref.payload_size);
-  if (health::Crc32(payload, ref.payload_size) != stored_crc) {
+  const std::string_view payload = Payload(i);
+  if (health::Crc32(payload) != records_[static_cast<size_t>(i)].crc ||
+      !Decode(payload, out)) {
     ++num_quarantined_;
     return false;
   }
-  if (ref.payload_size < kRecordPrefixSize) {
-    ++num_quarantined_;
+  return true;
+}
+
+bool ShardReader::Decode(std::string_view payload, EmrSample* out) const {
+  util::ByteReader reader(payload);
+  uint32_t length = 0, num_steps = 0, num_features = 0;
+  float mortality = 0.0f, los = 0.0f;
+  int64_t patient_id = 0, condition = 0;
+  reader.Get(&length);
+  reader.Get(&num_steps);
+  reader.Get(&num_features);
+  reader.Get(&mortality);
+  reader.Get(&los);
+  reader.Get(&patient_id);
+  reader.Get(&condition);
+  if (!reader.ok() || num_features != num_features_ || length > num_steps) {
     return false;
   }
-  const int64_t length = ReadPod<uint32_t>(payload);
-  const int64_t num_steps = ReadPod<uint32_t>(payload + 4);
-  const int64_t num_features = ReadPod<uint32_t>(payload + 8);
-  const uint64_t cells =
-      static_cast<uint64_t>(num_steps) * static_cast<uint64_t>(num_features);
-  const uint64_t grids_end =
-      kRecordPrefixSize + cells * (sizeof(float) + 1);
-  // v1 payloads end at the grids; v2 payloads carry the label trailer
-  // (validated below once the counts are decoded).
-  const bool size_ok = version_ == 1
-                           ? ref.payload_size == grids_end
-                           : ref.payload_size >= grids_end + 8;
-  if (num_features != num_features_ || length > num_steps || !size_ok) {
-    ++num_quarantined_;
-    return false;
+  const size_t cells = static_cast<size_t>(num_steps) * num_features;
+  const char* values = reader.Take(cells, sizeof(float));
+  const char* observed = reader.Take(cells);
+  if (values == nullptr || observed == nullptr) return false;
+  // v1 payloads end at the grids; v2 payloads carry the label trailer.
+  std::vector<float> decomp, pheno;
+  if (version_ >= 2) {
+    uint32_t num_decomp = 0, num_pheno = 0;
+    if (!reader.Get(&num_decomp) ||
+        (num_decomp != 0 && num_decomp != num_steps) ||
+        !reader.GetArray(&decomp, num_decomp) || !reader.Get(&num_pheno) ||
+        (num_pheno != 0 && num_pheno != kNumPhenotypes) ||
+        !reader.GetArray(&pheno, num_pheno)) {
+      return false;
+    }
   }
+  if (!reader.AtEnd()) return false;
   EmrSample sample(num_steps, num_features);
   sample.length = length;
-  sample.mortality_label = ReadPod<float>(payload + 12);
-  sample.los_gt7_label = ReadPod<float>(payload + 16);
-  sample.patient_id = ReadPod<int64_t>(payload + 20);
-  sample.condition = ReadPod<int64_t>(payload + 28);
-  std::memcpy(sample.values.data(), payload + kRecordPrefixSize,
-              cells * sizeof(float));
-  std::memcpy(sample.observed.data(),
-              payload + kRecordPrefixSize + cells * sizeof(float), cells);
-  if (version_ >= 2) {
-    uint64_t pos = grids_end;
-    const uint32_t num_decomp = ReadPod<uint32_t>(payload + pos);
-    pos += 4;
-    const bool decomp_ok =
-        (num_decomp == 0 ||
-         num_decomp == static_cast<uint32_t>(num_steps)) &&
-        pos + num_decomp * sizeof(float) + 4 <= ref.payload_size;
-    if (!decomp_ok) {
-      ++num_quarantined_;
-      return false;
-    }
-    sample.decomp_labels.resize(num_decomp);
-    std::memcpy(sample.decomp_labels.data(), payload + pos,
-                num_decomp * sizeof(float));
-    pos += num_decomp * sizeof(float);
-    const uint32_t num_pheno = ReadPod<uint32_t>(payload + pos);
-    pos += 4;
-    const bool pheno_ok =
-        (num_pheno == 0 ||
-         num_pheno == static_cast<uint32_t>(kNumPhenotypes)) &&
-        pos + num_pheno * sizeof(float) == ref.payload_size;
-    if (!pheno_ok) {
-      ++num_quarantined_;
-      return false;
-    }
-    sample.phenotype_labels.resize(num_pheno);
-    std::memcpy(sample.phenotype_labels.data(), payload + pos,
-                num_pheno * sizeof(float));
-  }
+  sample.mortality_label = mortality;
+  sample.los_gt7_label = los;
+  sample.patient_id = patient_id;
+  sample.condition = condition;
+  std::memcpy(sample.values.data(), values, cells * sizeof(float));
+  std::memcpy(sample.observed.data(), observed, cells);
+  sample.decomp_labels = std::move(decomp);
+  sample.phenotype_labels = std::move(pheno);
   *out = std::move(sample);
   return true;
 }

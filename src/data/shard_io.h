@@ -45,6 +45,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/emr.h"
@@ -147,11 +148,15 @@ class ShardReader {
   struct RecordRef {
     uint64_t payload_offset = 0;
     uint32_t payload_size = 0;
+    uint32_t crc = 0;  // stored frame CRC, checked at decode time
   };
 
   void Fail(std::string message);
   void ScanFrames();
-  bool ParseMeta(const uint8_t* payload, uint32_t size);
+  bool ParseMeta(std::string_view payload);
+  std::string_view Payload(int64_t i) const;
+  // Parses one CRC-checked record payload; false on any shape mismatch.
+  bool Decode(std::string_view payload, EmrSample* out) const;
 
   std::string path_;
   int fd_ = -1;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "par/par.h"
+#include "util/byte_codec.h"
 #include "util/logging.h"
 
 namespace elda {
@@ -13,19 +13,6 @@ namespace data {
 namespace {
 
 constexpr uint32_t kLoaderStateMagic = 0x4C435253;  // "SRCL"
-
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(const std::string& in, size_t* pos, T* value) {
-  if (*pos + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *pos, sizeof(T));
-  *pos += sizeof(T);
-  return true;
-}
 
 bool KeepIndex(int64_t global_index, int64_t split_mod,
                const std::vector<int64_t>& split_keep) {
@@ -342,39 +329,30 @@ void ShardedLoader::PrefetchLoop() {
 }
 
 std::string ShardedLoader::ExportState() const {
-  std::string state;
-  AppendPod<uint32_t>(&state, kLoaderStateMagic);
-  AppendPod<uint8_t>(&state, epoch_active_ ? 1 : 0);
-  const RngState rng_state =
-      epoch_active_ ? epoch_start_rng_ : rng_.SaveState();
-  for (uint64_t word : rng_state.s) AppendPod<uint64_t>(&state, word);
-  AppendPod<double>(&state, rng_state.cached_normal);
-  AppendPod<uint8_t>(&state, rng_state.has_cached_normal ? 1 : 0);
-  AppendPod<int64_t>(&state, epoch_active_ ? cursor_ : 0);
-  AppendPod<int64_t>(&state, static_cast<int64_t>(entries_.size()));
-  return state;
+  util::ByteWriter state;
+  state.Put<uint32_t>(kLoaderStateMagic);
+  state.Put<uint8_t>(epoch_active_ ? 1 : 0);
+  PutRngState(&state, epoch_active_ ? epoch_start_rng_ : rng_.SaveState());
+  state.Put<int64_t>(epoch_active_ ? cursor_ : 0);
+  state.Put<int64_t>(static_cast<int64_t>(entries_.size()));
+  return state.Take();
 }
 
 bool ShardedLoader::RestoreState(const std::string& state) {
-  size_t pos = 0;
-  uint32_t magic;
-  uint8_t active, has_cached;
+  util::ByteReader reader(state);
+  uint32_t magic = 0;
+  uint8_t active = 0;
   RngState rng_state;
-  int64_t cursor, num_entries;
-  if (!ReadPod(state, &pos, &magic) || magic != kLoaderStateMagic) {
+  int64_t cursor = 0, num_entries = 0;
+  reader.Get(&magic);
+  reader.Get(&active);
+  GetRngState(&reader, &rng_state);
+  reader.Get(&cursor);
+  reader.Get(&num_entries);
+  if (!reader.AtEnd() || magic != kLoaderStateMagic ||
+      num_entries != static_cast<int64_t>(entries_.size())) {
     return false;
   }
-  if (!ReadPod(state, &pos, &active)) return false;
-  for (uint64_t& word : rng_state.s) {
-    if (!ReadPod(state, &pos, &word)) return false;
-  }
-  if (!ReadPod(state, &pos, &rng_state.cached_normal)) return false;
-  if (!ReadPod(state, &pos, &has_cached)) return false;
-  rng_state.has_cached_normal = has_cached != 0;
-  if (!ReadPod(state, &pos, &cursor)) return false;
-  if (!ReadPod(state, &pos, &num_entries)) return false;
-  if (pos != state.size()) return false;
-  if (num_entries != static_cast<int64_t>(entries_.size())) return false;
 
   StopPrefetch();
   rng_.RestoreState(rng_state);

@@ -6,49 +6,34 @@
 
 #include "health/crc32.h"
 #include "health/health.h"
+#include "util/byte_codec.h"
 
 namespace elda {
 namespace health {
 namespace {
 
+using util::Fail;
+
 constexpr char kMagic[4] = {'E', 'L', 'D', 'A'};
 constexpr uint32_t kMaxSections = 256;
+constexpr size_t kMaxSectionName = 4096;
 constexpr uint64_t kMaxSectionBytes = 1ULL << 33;  // 8 GiB
-
-bool Fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(const std::string& bytes, size_t* pos, T* value) {
-  if (*pos + sizeof(T) > bytes.size()) return false;
-  std::memcpy(value, bytes.data() + *pos, sizeof(T));
-  *pos += sizeof(T);
-  return true;
-}
 
 }  // namespace
 
 bool WriteSectionedFile(const std::string& path,
                         const std::vector<Section>& sections,
                         std::string* error) {
-  std::string buffer;
-  buffer.append(kMagic, sizeof(kMagic));
-  AppendPod(&buffer, kSectionedFormatVersion);
-  AppendPod(&buffer, static_cast<uint32_t>(sections.size()));
+  util::ByteWriter writer;
+  writer.Append(kMagic, sizeof(kMagic));
+  writer.Put(kSectionedFormatVersion);
+  writer.Put(static_cast<uint32_t>(sections.size()));
   for (const Section& section : sections) {
-    AppendPod(&buffer, static_cast<uint32_t>(section.name.size()));
-    buffer.append(section.name);
-    AppendPod(&buffer, static_cast<uint64_t>(section.payload.size()));
-    buffer.append(section.payload);
-    AppendPod(&buffer, Crc32(section.payload));
+    writer.PutString<uint32_t>(section.name);
+    writer.PutString<uint64_t>(section.payload);
+    writer.Put(Crc32(section.payload));
   }
+  std::string buffer = writer.Take();
 
   int64_t flip_offset = 0;
   const WriteFault fault =
@@ -95,14 +80,13 @@ bool ReadSectionedFile(const std::string& path, std::vector<Section>* sections,
   if (!in) return Fail(error, "cannot open " + path);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-  size_t pos = 0;
-  if (bytes.size() < sizeof(kMagic) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  util::ByteReader reader(bytes);
+  const char* magic = reader.Take(sizeof(kMagic));
+  if (magic == nullptr || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Fail(error, path + " is not an ELDA checkpoint");
   }
-  pos += sizeof(kMagic);
   uint32_t version = 0;
-  if (!ReadPod(bytes, &pos, &version)) {
+  if (!reader.Get(&version)) {
     return Fail(error, path + " is truncated in the header");
   }
   if (version != kSectionedFormatVersion) {
@@ -110,32 +94,20 @@ bool ReadSectionedFile(const std::string& path, std::vector<Section>* sections,
                            std::to_string(version));
   }
   uint32_t num_sections = 0;
-  if (!ReadPod(bytes, &pos, &num_sections) || num_sections > kMaxSections) {
+  if (!reader.Get(&num_sections) || num_sections > kMaxSections) {
     return Fail(error, path + " has a corrupt section count");
   }
   std::vector<Section> parsed;
   parsed.reserve(num_sections);
   for (uint32_t i = 0; i < num_sections; ++i) {
     Section section;
-    uint32_t name_len = 0;
-    if (!ReadPod(bytes, &pos, &name_len) || name_len > 4096 ||
-        pos + name_len > bytes.size()) {
+    if (!reader.GetString<uint32_t>(&section.name, kMaxSectionName)) {
       return Fail(error, path + " has a corrupt section name (section " +
                              std::to_string(i) + ")");
     }
-    section.name.assign(bytes, pos, name_len);
-    pos += name_len;
-    uint64_t payload_size = 0;
-    if (!ReadPod(bytes, &pos, &payload_size) ||
-        payload_size > kMaxSectionBytes ||
-        pos + payload_size > bytes.size()) {
-      return Fail(error, path + " is truncated in section '" + section.name +
-                             "'");
-    }
-    section.payload.assign(bytes, pos, payload_size);
-    pos += payload_size;
     uint32_t stored_crc = 0;
-    if (!ReadPod(bytes, &pos, &stored_crc)) {
+    if (!reader.GetString<uint64_t>(&section.payload, kMaxSectionBytes) ||
+        !reader.Get(&stored_crc)) {
       return Fail(error, path + " is truncated in section '" + section.name +
                              "'");
     }
@@ -148,7 +120,7 @@ bool ReadSectionedFile(const std::string& path, std::vector<Section>* sections,
     }
     parsed.push_back(std::move(section));
   }
-  if (pos != bytes.size()) {
+  if (!reader.AtEnd()) {
     return Fail(error, path + " has trailing bytes after the last section");
   }
   *sections = std::move(parsed);

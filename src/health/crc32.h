@@ -7,7 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace elda {
 namespace health {
@@ -17,7 +17,7 @@ namespace health {
 //   Crc32(b, nb, Crc32(a, na)) == Crc32(ab, na + nb).
 uint32_t Crc32(const void* data, size_t size, uint32_t crc = 0);
 
-inline uint32_t Crc32(const std::string& bytes, uint32_t crc = 0) {
+inline uint32_t Crc32(std::string_view bytes, uint32_t crc = 0) {
   return Crc32(bytes.data(), bytes.size(), crc);
 }
 

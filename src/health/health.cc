@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "util/byte_codec.h"
 #include "util/logging.h"
 
 namespace elda {
@@ -83,11 +84,6 @@ bool ParseIndex(const std::string& text, int64_t* value) {
   return true;
 }
 
-bool ParseFail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
 }  // namespace
 
 bool FaultPlan::Parse(const std::string& spec, FaultPlan* plan,
@@ -102,7 +98,8 @@ bool FaultPlan::Parse(const std::string& spec, FaultPlan* plan,
     if (term.empty()) continue;
     const size_t at = term.find('@');
     if (at == std::string::npos) {
-      return ParseFail(error, "fault term '" + term + "' is missing '@index'");
+      return util::Fail(error,
+                        "fault term '" + term + "' is missing '@index'");
     }
     const std::string name = term.substr(0, at);
     std::string index_text = term.substr(at + 1);
@@ -111,13 +108,13 @@ bool FaultPlan::Parse(const std::string& spec, FaultPlan* plan,
     if (colon != std::string::npos) {
       if ((name != "flip_byte" && name != "slow_worker") ||
           !ParseIndex(index_text.substr(colon + 1), &offset)) {
-        return ParseFail(error, "bad fault term '" + term + "'");
+        return util::Fail(error, "bad fault term '" + term + "'");
       }
       index_text = index_text.substr(0, colon);
     }
     int64_t index = -1;
     if (!ParseIndex(index_text, &index)) {
-      return ParseFail(error, "bad index in fault term '" + term + "'");
+      return util::Fail(error, "bad index in fault term '" + term + "'");
     }
     if (name == "poison_grad") {
       plan->poison_grad_at_step = index;
@@ -136,7 +133,7 @@ bool FaultPlan::Parse(const std::string& spec, FaultPlan* plan,
       plan->slow_worker_index = index;
       if (offset >= 0) plan->slow_worker_delay_us = offset;
     } else {
-      return ParseFail(error, "unknown fault '" + name + "'");
+      return util::Fail(error, "unknown fault '" + name + "'");
     }
   }
   return true;

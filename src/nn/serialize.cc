@@ -11,95 +11,64 @@ namespace elda {
 namespace nn {
 namespace {
 
+using util::Fail;
+
 constexpr char kMagic[4] = {'E', 'L', 'D', 'A'};
 constexpr uint32_t kLegacyVersion = 1;
 constexpr char kParamsSection[] = "params";
-
-// Corrupt files must not drive allocation: per-tensor volume is capped (2^28
-// floats = 1 GiB) on top of the positive-dims check.
-constexpr int64_t kMaxTensorElements = int64_t{1} << 28;
-
-bool Fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-// Bounds-checked little-endian reader over an in-memory blob.
-class BlobReader {
- public:
-  explicit BlobReader(const std::string& bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  bool Pod(T* value) {
-    if (pos_ + sizeof(T) > bytes_.size()) return false;
-    std::memcpy(value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  bool String(size_t length, std::string* out) {
-    if (pos_ + length > bytes_.size()) return false;
-    out->assign(bytes_, pos_, length);
-    pos_ += length;
-    return true;
-  }
-
-  bool Floats(float* dst, int64_t count) {
-    const size_t n = static_cast<size_t>(count) * sizeof(float);
-    if (pos_ + n > bytes_.size()) return false;
-    std::memcpy(dst, bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool Done() const { return pos_ == bytes_.size(); }
-
- private:
-  const std::string& bytes_;
-  size_t pos_ = 0;
-};
-
-// Validates dims read from an untrusted file and returns the volume, or -1
-// when the shape is rejected (non-positive dim, overflow, or over the cap).
-int64_t CheckedVolume(const std::vector<int64_t>& shape) {
-  int64_t volume = 1;
-  for (int64_t d : shape) {
-    if (d <= 0) return -1;
-    if (volume > kMaxTensorElements / d) return -1;
-    volume *= d;
-  }
-  return volume;
-}
+constexpr size_t kMaxNameLength = 4096;
 
 }  // namespace
 
-std::string EncodeParameters(const Module& module) {
-  std::string blob;
-  const auto named = module.NamedParameters();
-  AppendPod(&blob, static_cast<uint64_t>(named.size()));
-  for (const auto& [name, var] : named) {
-    AppendPod(&blob, static_cast<uint32_t>(name.size()));
-    blob.append(name);
-    const Tensor& value = var.value();
-    AppendPod(&blob, static_cast<uint32_t>(value.dim()));
-    for (int64_t d : value.shape()) AppendPod(&blob, d);
-    blob.append(reinterpret_cast<const char*>(value.data()),
-                static_cast<size_t>(value.size()) * sizeof(float));
+void PutShapedTensor(util::ByteWriter* writer, const Tensor& tensor) {
+  writer->Put(static_cast<uint32_t>(tensor.dim()));
+  writer->PutArray(tensor.shape().data(), tensor.shape().size());
+  writer->PutArray(tensor.data(), static_cast<size_t>(tensor.size()));
+}
+
+bool GetShapedTensor(util::ByteReader* reader, Tensor* tensor,
+                     const std::string& what, std::string* error) {
+  uint32_t rank = 0;
+  if (!reader->Get(&rank) || rank > kMaxTensorRank) {
+    return Fail(error, "corrupt tensor header for " + what);
   }
-  return blob;
+  std::vector<int64_t> shape;
+  if (!reader->GetArray(&shape, rank)) {
+    return Fail(error, "truncated shape for " + what);
+  }
+  int64_t volume = 1;
+  for (int64_t d : shape) {
+    if (d <= 0 || volume > kMaxTensorElements / d) {
+      return Fail(error, "rejected dimensions for " + what +
+                             " (non-positive or oversized)");
+    }
+    volume *= d;
+  }
+  const char* data = reader->Take(static_cast<size_t>(volume), sizeof(float));
+  if (data == nullptr) return Fail(error, "truncated data for " + what);
+  Tensor parsed = Tensor::Empty(shape);
+  std::memcpy(parsed.data(), data, static_cast<size_t>(volume) * sizeof(float));
+  *tensor = std::move(parsed);
+  return true;
+}
+
+std::string EncodeParameters(const Module& module) {
+  util::ByteWriter writer;
+  const auto named = module.NamedParameters();
+  writer.Put(static_cast<uint64_t>(named.size()));
+  for (const auto& [name, var] : named) {
+    writer.PutString<uint32_t>(name);
+    PutShapedTensor(&writer, var.value());
+  }
+  return writer.Take();
 }
 
 bool DecodeParameters(Module* module, const std::string& blob,
                       std::string* error) {
   ELDA_CHECK(module != nullptr);
-  BlobReader reader(blob);
+  util::ByteReader reader(blob);
   uint64_t count = 0;
-  if (!reader.Pod(&count)) return Fail(error, "truncated checkpoint");
+  if (!reader.Get(&count)) return Fail(error, "truncated checkpoint");
 
   std::map<std::string, ag::Variable> targets;
   for (const auto& [name, var] : module->NamedParameters()) {
@@ -115,40 +84,24 @@ bool DecodeParameters(Module* module, const std::string& blob,
   std::vector<std::pair<ag::Variable, Tensor>> staged;
   staged.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    uint32_t name_len = 0;
-    if (!reader.Pod(&name_len) || name_len > 4096) {
+    std::string name;
+    if (!reader.GetString<uint32_t>(&name, kMaxNameLength)) {
       return Fail(error, "corrupt parameter name");
     }
-    std::string name;
-    if (!reader.String(name_len, &name)) {
-      return Fail(error, "truncated parameter name");
-    }
-    uint32_t rank = 0;
-    if (!reader.Pod(&rank) || rank > 8) {
-      return Fail(error, "corrupt parameter header for " + name);
-    }
-    std::vector<int64_t> shape(rank);
-    for (uint32_t d = 0; d < rank; ++d) {
-      if (!reader.Pod(&shape[d])) return Fail(error, "truncated shape");
-    }
-    const int64_t volume = CheckedVolume(shape);
-    if (volume < 0) {
-      return Fail(error, "rejected dimensions for " + name +
-                             " (non-positive or oversized)");
-    }
+    Tensor loaded;
+    if (!GetShapedTensor(&reader, &loaded, name, error)) return false;
     auto it = targets.find(name);
     if (it == targets.end()) {
       return Fail(error, "checkpoint parameter " + name +
                              " not declared by the module");
     }
-    if (it->second.value().shape() != shape) {
+    if (it->second.value().shape() != loaded.shape()) {
       return Fail(error, "shape mismatch for " + name);
     }
-    Tensor loaded(shape);
-    if (!reader.Floats(loaded.data(), volume)) {
-      return Fail(error, "truncated data for " + name);
-    }
     staged.emplace_back(it->second, std::move(loaded));
+  }
+  if (!reader.AtEnd()) {
+    return Fail(error, "trailing bytes after the last parameter");
   }
   for (auto& [var, tensor] : staged) {
     *var.mutable_value() = tensor;

@@ -22,9 +22,12 @@
 #ifndef ELDA_NN_SERIALIZE_H_
 #define ELDA_NN_SERIALIZE_H_
 
+#include <cstdint>
 #include <string>
 
 #include "nn/module.h"
+#include "tensor/tensor.h"
+#include "util/byte_codec.h"
 
 namespace elda {
 namespace nn {
@@ -45,6 +48,19 @@ bool LoadParameters(Module* module, const std::string& path,
 std::string EncodeParameters(const Module& module);
 bool DecodeParameters(Module* module, const std::string& blob,
                       std::string* error = nullptr);
+
+// The shaped-tensor codec shared by the parameter blob and the train
+// checkpoint's tensor lists: uint32 rank | int64 dims[rank] | float
+// data[volume]. Decoding rejects a rank above kMaxTensorRank, a
+// non-positive dim and a volume above kMaxTensorElements (2^28 floats =
+// 1 GiB), and allocates only once the data bytes are known to be present,
+// so a corrupt file cannot drive a huge or negative allocation. `what`
+// names the tensor in the error message.
+inline constexpr uint32_t kMaxTensorRank = 8;
+inline constexpr int64_t kMaxTensorElements = int64_t{1} << 28;
+void PutShapedTensor(util::ByteWriter* writer, const Tensor& tensor);
+bool GetShapedTensor(util::ByteReader* reader, Tensor* tensor,
+                     const std::string& what, std::string* error);
 
 }  // namespace nn
 }  // namespace elda

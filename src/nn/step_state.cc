@@ -10,21 +10,23 @@ namespace nn {
 
 StepState::~StepState() = default;
 
-void StepState::Save(StateWriter* writer) const { writer->I64(steps_seen); }
+void StepState::Save(util::ByteWriter* writer) const {
+  writer->Put(steps_seen);
+}
 
-bool StepState::Load(StateReader* reader) { return reader->I64(&steps_seen); }
+bool StepState::Load(util::ByteReader* reader) {
+  return reader->Get(&steps_seen);
+}
 
-RollingWindow::RollingWindow(int64_t capacity) : capacity_(capacity) {
+RollingWindow::RollingWindow(int64_t capacity, int64_t width)
+    : capacity_(capacity), width_(width) {
   ELDA_CHECK_GE(capacity, 1);
+  ELDA_CHECK_GE(width, 1);
 }
 
 void RollingWindow::Append(const float* row, int64_t width) {
-  ELDA_CHECK_GE(width, 1);
-  if (width_ == 0) {
-    width_ = width;
-    data_.resize(static_cast<size_t>(capacity_ * width_));
-  }
   ELDA_CHECK_EQ(width, width_);
+  if (data_.empty()) data_.resize(static_cast<size_t>(capacity_ * width_));
   const int64_t slot =
       size_ < capacity_ ? (start_ + size_) % capacity_ : start_;
   std::memcpy(data_.data() + slot * width_, row,
@@ -50,7 +52,7 @@ void RollingWindow::CopyInto(float* dst) const {
 }
 
 Tensor RollingWindow::Materialize() const {
-  Tensor out = Tensor::Empty({size_, width_ == 0 ? 0 : width_});
+  Tensor out = Tensor::Empty({size_, width_});
   if (size_ > 0) CopyInto(out.data());
   return out;
 }
@@ -60,92 +62,45 @@ void RollingWindow::Clear() {
   size_ = 0;
 }
 
-void StateWriter::I64(int64_t value) {
-  out_.append(reinterpret_cast<const char*>(&value), sizeof(value));
+void PutTensorData(util::ByteWriter* writer, const Tensor& tensor) {
+  writer->Put<int64_t>(tensor.size());
+  writer->PutArray(tensor.data(), static_cast<size_t>(tensor.size()));
 }
 
-void StateWriter::F32(float value) {
-  out_.append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void StateWriter::TensorData(const Tensor& tensor) {
-  I64(tensor.size());
-  out_.append(reinterpret_cast<const char*>(tensor.data()),
-              static_cast<size_t>(tensor.size()) * sizeof(float));
-}
-
-void StateWriter::Window(const RollingWindow& window) {
-  I64(window.width());
-  I64(window.size());
-  for (int64_t i = 0; i < window.size(); ++i) {
-    out_.append(reinterpret_cast<const char*>(window.row(i)),
-                static_cast<size_t>(window.width()) * sizeof(float));
-  }
-}
-
-void StateWriter::Bytes(const std::vector<uint8_t>& bytes) {
-  I64(static_cast<int64_t>(bytes.size()));
-  out_.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-}
-
-StateReader::StateReader(const char* data, size_t size)
-    : data_(data), size_(size) {}
-
-bool StateReader::Raw(void* dst, size_t n) {
-  if (!ok_ || pos_ + n > size_) {
-    ok_ = false;
-    return false;
-  }
-  std::memcpy(dst, data_ + pos_, n);
-  pos_ += n;
-  return true;
-}
-
-bool StateReader::I64(int64_t* value) { return Raw(value, sizeof(*value)); }
-
-bool StateReader::F32(float* value) { return Raw(value, sizeof(*value)); }
-
-bool StateReader::TensorInto(Tensor* tensor) {
+bool GetTensorData(util::ByteReader* reader, Tensor* tensor) {
   int64_t count = 0;
-  if (!I64(&count)) return false;
-  if (count != tensor->size()) {
-    ok_ = false;
-    return false;
-  }
-  return Raw(tensor->data(), static_cast<size_t>(count) * sizeof(float));
+  if (!reader->Get(&count)) return false;
+  if (count != tensor->size()) return reader->Poison();
+  return reader->GetArray(tensor->data(), static_cast<size_t>(count));
 }
 
-bool StateReader::WindowInto(RollingWindow* window) {
+void PutWindow(util::ByteWriter* writer, const RollingWindow& window) {
+  writer->Put<int64_t>(window.data_.empty() ? 0 : window.width());
+  writer->Put<int64_t>(window.size());
+  for (int64_t i = 0; i < window.size(); ++i) {
+    writer->PutArray(window.row(i), static_cast<size_t>(window.width()));
+  }
+}
+
+bool GetWindow(util::ByteReader* reader, RollingWindow* window) {
   int64_t width = 0;
   int64_t size = 0;
-  if (!I64(&width) || !I64(&size)) return false;
-  if (width < 0 || size < 0 || size > window->capacity() ||
-      (size > 0 && width == 0) ||
-      (window->width() != 0 && width != 0 && width != window->width())) {
-    ok_ = false;
-    return false;
+  if (!reader->Get(&width) || !reader->Get(&size)) return false;
+  if ((width != window->width() && !(width == 0 && size == 0)) || size < 0 ||
+      size > window->capacity()) {
+    return reader->Poison();
   }
   window->Clear();
   if (size == 0) return true;
+  const size_t row_bytes = static_cast<size_t>(width) * sizeof(float);
+  const char* rows = reader->Take(static_cast<size_t>(size), row_bytes);
+  if (rows == nullptr) return false;
   std::vector<float> row(static_cast<size_t>(width));
   for (int64_t i = 0; i < size; ++i) {
-    if (!Raw(row.data(), static_cast<size_t>(width) * sizeof(float))) {
-      return false;
-    }
+    std::memcpy(row.data(), rows + i * row_bytes, row_bytes);
     window->Append(row.data(), width);
   }
   return true;
-}
-
-bool StateReader::Bytes(std::vector<uint8_t>* bytes) {
-  int64_t count = 0;
-  if (!I64(&count)) return false;
-  if (count < 0 || static_cast<size_t>(count) > size_ - pos_) {
-    ok_ = false;
-    return false;
-  }
-  bytes->resize(static_cast<size_t>(count));
-  return count == 0 || Raw(bytes->data(), static_cast<size_t>(count));
 }
 
 }  // namespace nn

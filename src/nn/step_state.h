@@ -8,12 +8,16 @@
 // callers (the serve session table, tests, benches) treat it as a black
 // box with a step counter.
 //
-// Every concrete state also knows how to serialize itself (Save/Load via
-// StateWriter/StateReader), which is what makes the serving layer's
-// session checkpoint/restore possible: a state written by Save and read
-// back by Load into a fresh MakeStepState allocation carries bitwise the
-// same tensors, rings, and counters, so post-restore StepForward calls
-// score exactly as the uninterrupted stream would have.
+// Every concrete state also knows how to serialize itself: Save writes
+// through the shared util::ByteWriter and Load reads through the
+// bounds-checked util::ByteReader (util/byte_codec.h), with the tensor and
+// window helpers below for the shapes states carry. That is what makes the
+// serving layer's session checkpoint/restore possible: a state written by
+// Save and read back by Load into a fresh MakeStepState allocation carries
+// bitwise the same tensors, rings, and counters, so post-restore
+// StepForward calls score exactly as the uninterrupted stream would have.
+// Load trusts nothing in the payload: every count and width is checked
+// against the allocation MakeStepState made before a byte is copied.
 
 #ifndef ELDA_NN_STEP_STATE_H_
 #define ELDA_NN_STEP_STATE_H_
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "util/byte_codec.h"
 
 namespace elda {
 namespace nn {
@@ -31,16 +36,14 @@ namespace nn {
 // behind every windowed StepState (raw-observation windows for replay
 // models, hidden-state histories for attention scoring). Appending beyond
 // `capacity` evicts the oldest row, so resident memory is O(capacity) no
-// matter how long the stay runs.
-//
-// The row width is fixed by the first Append, which keeps window states
-// usable from code that cannot know the model's input width up front.
+// matter how long the stay runs. The row width is fixed at construction;
+// the ring's storage is allocated by the first Append.
 class RollingWindow {
  public:
-  explicit RollingWindow(int64_t capacity);
+  RollingWindow(int64_t capacity, int64_t width);
 
-  // Copies `width` floats. The first call fixes the row width; later calls
-  // must pass the same width. Evicts the oldest row when full.
+  // Copies `width` floats, which must equal width(). Evicts the oldest row
+  // when full.
   void Append(const float* row, int64_t width);
 
   int64_t size() const { return size_; }
@@ -60,69 +63,33 @@ class RollingWindow {
   void Clear();
 
  private:
+  friend void PutWindow(util::ByteWriter* writer, const RollingWindow& window);
+
   int64_t capacity_;
-  int64_t width_ = 0;  // fixed by the first Append
+  int64_t width_;
   int64_t start_ = 0;  // ring index of the oldest row
   int64_t size_ = 0;
-  std::vector<float> data_;  // capacity * width floats once width is known
+  std::vector<float> data_;  // capacity * width floats after the first Append
 };
 
-// Append-only byte sink the StepState::Save overrides write into. Raw
-// little-endian float/int payloads: the values are copied bit-for-bit, so
-// a round trip through Save/Load cannot perturb any score.
-class StateWriter {
- public:
-  void I64(int64_t value);
-  void F32(float value);
-  // Element count followed by the raw float payload. Shapes are implied by
-  // the model's MakeStepState allocation, so only the flat data travels.
-  void TensorData(const Tensor& tensor);
-  // Width, retained row count, then the rows in chronological order. The
-  // ring's internal rotation is not persisted — a restored window holds the
-  // same rows starting at slot 0, which behaves identically.
-  void Window(const RollingWindow& window);
-  void Bytes(const std::vector<uint8_t>& bytes);
+// State payload helpers over the shared byte codec. Floats are copied
+// bit for bit, so a Save/Load round trip cannot perturb any score.
+//
+// Tensor data: element count (int64), then the raw floats. Shapes are
+// implied by the model's MakeStepState allocation, so only the flat data
+// travels; GetTensorData fails unless the stored count equals
+// tensor->size().
+void PutTensorData(util::ByteWriter* writer, const Tensor& tensor);
+bool GetTensorData(util::ByteReader* reader, Tensor* tensor);
 
-  const std::string& bytes() const { return out_; }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-// Bounds-checked reader over one Save payload. Every accessor returns
-// false (and poisons the reader) instead of reading past the end or into a
-// mismatched destination, so a truncated or corrupt state payload is
-// rejected rather than loaded as garbage.
-class StateReader {
- public:
-  StateReader(const char* data, size_t size);
-  explicit StateReader(const std::string& bytes)
-      : StateReader(bytes.data(), bytes.size()) {}
-
-  bool I64(int64_t* value);
-  bool F32(float* value);
-  // Fails unless the stored element count equals tensor->size(); the
-  // destination keeps the shape MakeStepState gave it.
-  bool TensorInto(Tensor* tensor);
-  // Clears `window` and re-appends the stored rows. Fails when the stored
-  // row count exceeds the window's capacity or the widths conflict.
-  bool WindowInto(RollingWindow* window);
-  bool Bytes(std::vector<uint8_t>* bytes);
-
-  // True when every read so far succeeded.
-  bool ok() const { return ok_; }
-  // True when the whole payload was consumed (trailing garbage check).
-  bool AtEnd() const { return ok_ && pos_ == size_; }
-
- private:
-  bool Raw(void* dst, size_t n);
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
+// Window: width (int64; 0 for a window that never held a row), retained
+// row count (int64), then the rows in chronological order. The ring's
+// rotation is not persisted — a restored window holds the same rows from
+// slot 0, which behaves identically. GetWindow rejects a width other than
+// window->width() (0 is accepted for an empty window) and a row count
+// above the capacity or the bytes remaining, before anything is copied.
+void PutWindow(util::ByteWriter* writer, const RollingWindow& window);
+bool GetWindow(util::ByteReader* reader, RollingWindow* window);
 
 // Base class for model-specific streaming state. Polymorphic so model
 // implementations can downcast to their own concrete type (checked).
@@ -132,13 +99,13 @@ struct StepState {
   // Serializes everything the state carries. Concrete states must override
   // both Save and Load together and call the base implementation first
   // (it persists `steps_seen`).
-  virtual void Save(StateWriter* writer) const;
+  virtual void Save(util::ByteWriter* writer) const;
 
   // Restores from a Save payload into a state freshly allocated by the
   // same model's MakeStepState with the same window capacity. Returns
   // false on truncated or mismatched input, leaving the state unusable —
   // callers must discard it (the serve layer quarantines the session).
-  virtual bool Load(StateReader* reader);
+  virtual bool Load(util::ByteReader* reader);
 
   // Observations consumed so far, maintained by StepForward.
   int64_t steps_seen = 0;

@@ -91,7 +91,7 @@ std::shared_ptr<Session> SessionTable::Admit(std::string tag) {
       // Same strictness as snapshot restore: the payload must decode AND
       // consume every byte — trailing garbage means the bytes are not the
       // state that was parked.
-      nn::StateReader reader(parked_it->second.state);
+      util::ByteReader reader(parked_it->second.state);
       if (session->state->Load(&reader) && reader.AtEnd()) {
         session->id = parked_it->second.id;
         session->observations.store(session->state->steps_seen,
@@ -168,7 +168,7 @@ void SessionTable::EvictLocked(SessionId id) {
   Session& session = *it->second;
   if (policy_ == EvictionPolicy::kCheckpointThenEvict &&
       !session.tag.empty()) {
-    nn::StateWriter writer;
+    util::ByteWriter writer;
     session.state->Save(&writer);
     ParkedSession parked;
     parked.id = session.id;

@@ -130,7 +130,7 @@ const char* EvictionPolicyName(EvictionPolicy policy);
 struct ParkedSession {
   SessionId id = kInvalidSession;
   int64_t last_observed = 0;
-  std::string state;  // StateWriter payload of the evicted StepState
+  std::string state;  // StepState::Save payload of the evicted state
   float last_risk = 0.0f;
   bool ever_scored = false;
 };

@@ -1,6 +1,5 @@
 #include "serve/snapshot.h"
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "health/crc32.h"
 #include "health/health.h"
 #include "nn/step_state.h"
+#include "util/byte_codec.h"
 #include "util/logging.h"
 
 namespace elda {
@@ -17,94 +17,34 @@ namespace serve {
 
 namespace {
 
+using util::Fail;
+
 constexpr const char kMetaSection[] = "serve_meta";
 constexpr const char kSessionsSection[] = "serve_sessions";
 constexpr const char kParkedSection[] = "serve_parked";
 
-// -- Flat little-endian record encoding over std::string ----------------------
-
-void PutI64(std::string* out, int64_t value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void PutU32(std::string* out, uint32_t value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void PutF32(std::string* out, float value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void PutString(std::string* out, const std::string& value) {
-  PutI64(out, static_cast<int64_t>(value.size()));
-  out->append(value);
-}
-
-class Cursor {
- public:
-  explicit Cursor(const std::string& bytes) : bytes_(bytes) {}
-
-  bool I64(int64_t* value) { return Raw(value, sizeof(*value)); }
-  bool U32(uint32_t* value) { return Raw(value, sizeof(*value)); }
-  bool F32(float* value) { return Raw(value, sizeof(*value)); }
-
-  bool String(std::string* value) {
-    int64_t size = 0;
-    if (!I64(&size) || size < 0 ||
-        static_cast<size_t>(size) > bytes_.size() - pos_) {
-      ok_ = false;
-      return false;
-    }
-    value->assign(bytes_.data() + pos_, static_cast<size_t>(size));
-    pos_ += static_cast<size_t>(size);
-    return true;
-  }
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return ok_ && pos_ == bytes_.size(); }
-
- private:
-  bool Raw(void* dst, size_t n) {
-    if (!ok_ || n > bytes_.size() - pos_) {
-      ok_ = false;
-      return false;
-    }
-    std::memcpy(dst, bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  const std::string& bytes_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
 // One serialized state payload with its own CRC: length, bytes, crc32.
 // `record` numbers sessions for the poison_state fault, which flips a byte
 // AFTER the CRC is computed — the mismatch is what restore must catch.
-void PutStateRecord(std::string* out, std::string state, int64_t record) {
+void PutStateRecord(util::ByteWriter* out, std::string state, int64_t record) {
   const uint32_t crc = health::Crc32(state);
   if (record >= 0 &&
       health::GlobalFaultInjector()->ConsumePoisonState(record) &&
       !state.empty()) {
     state[state.size() / 2] ^= 0x40;
   }
-  PutString(out, state);
-  PutU32(out, crc);
+  out->PutString<int64_t>(state);
+  out->Put(crc);
 }
 
 // Reads a state record and verifies its CRC; `*intact` reports whether the
 // bytes survived.
-bool GetStateRecord(Cursor* cursor, std::string* state, bool* intact) {
+bool GetStateRecord(util::ByteReader* reader, std::string* state,
+                    bool* intact) {
   uint32_t crc = 0;
-  if (!cursor->String(state) || !cursor->U32(&crc)) return false;
+  if (!reader->GetString<int64_t>(state) || !reader->Get(&crc)) return false;
   *intact = health::Crc32(*state) == crc;
   return true;
-}
-
-bool Fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
 }
 
 }  // namespace
@@ -122,47 +62,47 @@ bool SaveSessionSnapshot(const SessionTable& table, const std::string& path,
   const std::unordered_map<std::string, ParkedSession>& parked =
       view.parked;
 
-  std::string meta;
-  PutString(&meta, table.model()->name());
-  PutI64(&meta, table.window_capacity());
-  PutI64(&meta, view.next_id);
-  PutI64(&meta, view.clock);
+  util::ByteWriter meta;
+  meta.PutString<int64_t>(table.model()->name());
+  meta.Put<int64_t>(table.window_capacity());
+  meta.Put<int64_t>(view.next_id);
+  meta.Put<int64_t>(view.clock);
 
-  std::string sessions;
-  PutI64(&sessions, static_cast<int64_t>(resident.size()));
+  util::ByteWriter sessions;
+  sessions.Put(static_cast<int64_t>(resident.size()));
   int64_t record = 0;
   for (const std::shared_ptr<Session>& session : resident) {
-    PutI64(&sessions, session->id);
-    PutString(&sessions, session->tag);
-    PutI64(&sessions,
-           session->last_observed.load(std::memory_order_relaxed));
-    PutI64(&sessions,
-           session->observations.load(std::memory_order_relaxed));
-    PutF32(&sessions, session->last_risk.load(std::memory_order_relaxed));
-    PutI64(&sessions,
-           session->ever_scored.load(std::memory_order_relaxed) ? 1 : 0);
-    nn::StateWriter writer;
-    session->state->Save(&writer);
-    PutStateRecord(&sessions, writer.Take(), record++);
+    sessions.Put<int64_t>(session->id);
+    sessions.PutString<int64_t>(session->tag);
+    sessions.Put<int64_t>(
+        session->last_observed.load(std::memory_order_relaxed));
+    sessions.Put<int64_t>(
+        session->observations.load(std::memory_order_relaxed));
+    sessions.Put<float>(session->last_risk.load(std::memory_order_relaxed));
+    sessions.Put<int64_t>(
+        session->ever_scored.load(std::memory_order_relaxed) ? 1 : 0);
+    util::ByteWriter state;
+    session->state->Save(&state);
+    PutStateRecord(&sessions, state.Take(), record++);
   }
 
   // Parked states already passed through Save at eviction; persist them so
   // a restored service still rehydrates returning patients.
-  std::string parked_payload;
-  PutI64(&parked_payload, static_cast<int64_t>(parked.size()));
+  util::ByteWriter parked_payload;
+  parked_payload.Put(static_cast<int64_t>(parked.size()));
   for (const auto& [tag, park] : parked) {
-    PutString(&parked_payload, tag);
-    PutI64(&parked_payload, park.id);
-    PutI64(&parked_payload, park.last_observed);
-    PutF32(&parked_payload, park.last_risk);
-    PutI64(&parked_payload, park.ever_scored ? 1 : 0);
+    parked_payload.PutString<int64_t>(tag);
+    parked_payload.Put<int64_t>(park.id);
+    parked_payload.Put<int64_t>(park.last_observed);
+    parked_payload.Put<float>(park.last_risk);
+    parked_payload.Put<int64_t>(park.ever_scored ? 1 : 0);
     PutStateRecord(&parked_payload, park.state, -1);
   }
 
   std::vector<health::Section> sections;
-  sections.push_back({kMetaSection, std::move(meta)});
-  sections.push_back({kSessionsSection, std::move(sessions)});
-  sections.push_back({kParkedSection, std::move(parked_payload)});
+  sections.push_back({kMetaSection, meta.Take()});
+  sections.push_back({kSessionsSection, sessions.Take()});
+  sections.push_back({kParkedSection, parked_payload.Take()});
   if (!health::WriteSectionedFile(path, sections, error)) return false;
   if (stats != nullptr) {
     stats->sessions = static_cast<int64_t>(resident.size());
@@ -189,14 +129,16 @@ bool RestoreSessionSnapshot(SessionTable* table, const std::string& path,
     return Fail(error, "snapshot is missing a serve section");
   }
 
-  Cursor meta_cursor(meta->payload);
+  util::ByteReader meta_reader(meta->payload);
   std::string model_name;
   int64_t window_capacity = 0;
   int64_t next_id = 0;
   int64_t clock = 0;
-  if (!meta_cursor.String(&model_name) ||
-      !meta_cursor.I64(&window_capacity) || !meta_cursor.I64(&next_id) ||
-      !meta_cursor.I64(&clock) || !meta_cursor.AtEnd()) {
+  meta_reader.GetString<int64_t>(&model_name);
+  meta_reader.Get(&window_capacity);
+  meta_reader.Get(&next_id);
+  meta_reader.Get(&clock);
+  if (!meta_reader.AtEnd()) {
     return Fail(error, "snapshot meta section is malformed");
   }
   if (model_name != table->model()->name()) {
@@ -209,9 +151,9 @@ bool RestoreSessionSnapshot(SessionTable* table, const std::string& path,
   }
 
   SnapshotStats local;
-  Cursor cursor(sess->payload);
+  util::ByteReader reader(sess->payload);
   int64_t count = 0;
-  if (!cursor.I64(&count) || count < 0) {
+  if (!reader.Get(&count) || count < 0) {
     return Fail(error, "snapshot sessions section is malformed");
   }
   if (count > table->max_sessions()) {
@@ -230,17 +172,20 @@ bool RestoreSessionSnapshot(SessionTable* table, const std::string& path,
     int64_t ever_scored = 0;
     std::string state_bytes;
     bool intact = false;
-    if (!cursor.I64(&session->id) || !cursor.String(&session->tag) ||
-        !cursor.I64(&last_observed) || !cursor.I64(&observations) ||
-        !cursor.F32(&last_risk) || !cursor.I64(&ever_scored) ||
-        !GetStateRecord(&cursor, &state_bytes, &intact)) {
+    reader.Get(&session->id);
+    reader.GetString<int64_t>(&session->tag);
+    reader.Get(&last_observed);
+    reader.Get(&observations);
+    reader.Get(&last_risk);
+    reader.Get(&ever_scored);
+    if (!GetStateRecord(&reader, &state_bytes, &intact)) {
       return Fail(error, "snapshot sessions section is truncated");
     }
     session->state = table->model()->MakeStepState(window_capacity);
     bool loaded = false;
     if (intact) {
-      nn::StateReader reader(state_bytes);
-      loaded = session->state->Load(&reader) && reader.AtEnd();
+      util::ByteReader state(state_bytes);
+      loaded = session->state->Load(&state) && state.AtEnd();
     }
     if (loaded) {
       session->observations.store(observations, std::memory_order_relaxed);
@@ -259,13 +204,13 @@ bool RestoreSessionSnapshot(SessionTable* table, const std::string& path,
     table->RestoreSession(std::move(session));
     ++local.sessions;
   }
-  if (!cursor.AtEnd()) {
+  if (!reader.AtEnd()) {
     return Fail(error, "snapshot sessions section has trailing bytes");
   }
 
-  Cursor park_cursor(park->payload);
+  util::ByteReader park_reader(park->payload);
   int64_t park_count = 0;
-  if (!park_cursor.I64(&park_count) || park_count < 0) {
+  if (!park_reader.Get(&park_count) || park_count < 0) {
     return Fail(error, "snapshot parked section is malformed");
   }
   for (int64_t i = 0; i < park_count; ++i) {
@@ -273,11 +218,12 @@ bool RestoreSessionSnapshot(SessionTable* table, const std::string& path,
     ParkedSession parked;
     int64_t ever_scored = 0;
     bool intact = false;
-    if (!park_cursor.String(&tag) || !park_cursor.I64(&parked.id) ||
-        !park_cursor.I64(&parked.last_observed) ||
-        !park_cursor.F32(&parked.last_risk) ||
-        !park_cursor.I64(&ever_scored) ||
-        !GetStateRecord(&park_cursor, &parked.state, &intact)) {
+    park_reader.GetString<int64_t>(&tag);
+    park_reader.Get(&parked.id);
+    park_reader.Get(&parked.last_observed);
+    park_reader.Get(&parked.last_risk);
+    park_reader.Get(&ever_scored);
+    if (!GetStateRecord(&park_reader, &parked.state, &intact)) {
       return Fail(error, "snapshot parked section is truncated");
     }
     parked.ever_scored = ever_scored != 0;
@@ -290,7 +236,7 @@ bool RestoreSessionSnapshot(SessionTable* table, const std::string& path,
     table->RestoreParked(std::move(tag), std::move(parked));
     ++local.parked;
   }
-  if (!park_cursor.AtEnd()) {
+  if (!park_reader.AtEnd()) {
     return Fail(error, "snapshot parked section has trailing bytes");
   }
 

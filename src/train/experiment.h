@@ -60,8 +60,9 @@ struct ModelStats {
 
 // Trains `make_model(seed)` num_runs times on the prepared experiment and
 // aggregates the test metrics over the runs that completed (status kOk or
-// kRecovered). Failed runs are counted in `failed_runs` and skipped; at
-// least one run must complete.
+// kRecovered). Failed runs are counted in `failed_runs` and skipped. When
+// every run fails the aggregates stay zero and failed_runs == num_runs;
+// callers report that instead of the empty aggregates.
 ModelStats RunRepeated(
     const std::function<std::unique_ptr<SequenceModel>(uint64_t seed)>&
         make_model,

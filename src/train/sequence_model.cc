@@ -18,19 +18,19 @@ namespace {
 // any model (the window is exactly the prefix a batch-mode caller would
 // score) at O(window) cost per observation.
 struct WindowReplayState : nn::StepState {
-  explicit WindowReplayState(int64_t capacity)
-      : x(capacity), mask(capacity), delta(capacity) {}
+  WindowReplayState(int64_t capacity, int64_t width)
+      : x(capacity, width), mask(capacity, width), delta(capacity, width) {}
 
-  void Save(nn::StateWriter* w) const override {
+  void Save(util::ByteWriter* w) const override {
     nn::StepState::Save(w);
-    w->Window(x);
-    w->Window(mask);
-    w->Window(delta);
+    nn::PutWindow(w, x);
+    nn::PutWindow(w, mask);
+    nn::PutWindow(w, delta);
   }
 
-  bool Load(nn::StateReader* r) override {
-    return nn::StepState::Load(r) && r->WindowInto(&x) &&
-           r->WindowInto(&mask) && r->WindowInto(&delta);
+  bool Load(util::ByteReader* r) override {
+    return nn::StepState::Load(r) && nn::GetWindow(r, &x) &&
+           nn::GetWindow(r, &mask) && nn::GetWindow(r, &delta);
   }
 
   nn::RollingWindow x;
@@ -89,7 +89,7 @@ ag::Variable SequenceModel::EncodeSteps(const data::Batch& batch,
 std::unique_ptr<nn::StepState> SequenceModel::MakeStepState(
     int64_t window_capacity) const {
   ELDA_CHECK_GE(window_capacity, 1);
-  return std::make_unique<WindowReplayState>(window_capacity);
+  return std::make_unique<WindowReplayState>(window_capacity, num_features());
 }
 
 ag::Variable SequenceModel::StepForward(

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/byte_codec.h"
 #include "util/logging.h"
 
 namespace elda {
@@ -89,6 +90,22 @@ void Rng::RestoreState(const RngState& state) {
   for (int i = 0; i < 4; ++i) state_[i] = state.s[i];
   cached_normal_ = state.cached_normal;
   has_cached_normal_ = state.has_cached_normal;
+}
+
+void PutRngState(util::ByteWriter* writer, const RngState& state) {
+  writer->PutArray(state.s, 4);
+  writer->Put(state.cached_normal);
+  writer->Put<uint8_t>(state.has_cached_normal ? 1 : 0);
+}
+
+bool GetRngState(util::ByteReader* reader, RngState* state) {
+  uint8_t has_cached = 0;
+  if (!reader->GetArray(state->s, 4) || !reader->Get(&state->cached_normal) ||
+      !reader->Get(&has_cached)) {
+    return false;
+  }
+  state->has_cached_normal = has_cached != 0;
+  return true;
 }
 
 }  // namespace elda

@@ -13,6 +13,11 @@
 
 namespace elda {
 
+namespace util {
+class ByteReader;
+class ByteWriter;
+}  // namespace util
+
 // Complete serialisable state of an Rng, for crash-safe checkpoint/resume:
 // restoring it replays the stream bit-for-bit from the capture point.
 struct RngState {
@@ -20,6 +25,12 @@ struct RngState {
   double cached_normal = 0.0;
   bool has_cached_normal = false;
 };
+
+// The RngState codec shared by the train checkpoint's "rng" section and
+// the sharded loader's state: u64 s[4] | f64 cached_normal |
+// u8 has_cached_normal.
+void PutRngState(util::ByteWriter* writer, const RngState& state);
+bool GetRngState(util::ByteReader* reader, RngState* state);
 
 // A small, fast, deterministic random number generator.
 //

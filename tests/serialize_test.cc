@@ -225,6 +225,18 @@ TEST(SerializeTest, BitFlippedV2FileIsRejectedByChecksum) {
   EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
 }
 
+// A blob followed by stray bytes is not the blob that was written: the
+// decoder must consume every byte, like every other decoder does.
+TEST(SerializeTest, DecodeRejectsTrailingBytes) {
+  SmallNet source(25);
+  const std::string blob = EncodeParameters(source);
+  SmallNet target(26);
+  std::string error;
+  EXPECT_FALSE(DecodeParameters(&target, blob + "junk", &error));
+  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+  EXPECT_TRUE(DecodeParameters(&target, blob, &error)) << error;
+}
+
 TEST(SerializeTest, MissingFileFailsGracefully) {
   Rng rng(13);
   Linear layer(2, 2, true, &rng);

@@ -35,6 +35,7 @@
 #include "serve/session.h"
 #include "serve/snapshot.h"
 #include "train/trainer.h"
+#include "util/byte_codec.h"
 
 namespace elda {
 namespace {
@@ -140,11 +141,11 @@ TEST(ServeRobustnessTest, StateSaveLoadRoundTripBitwise) {
                   sizeof(float) * kFeatures);
       model->StepForward(sb, {original.get()}, nullptr);
     }
-    nn::StateWriter writer;
+    util::ByteWriter writer;
     original->Save(&writer);
     const std::string bytes = writer.Take();
     auto restored = model->MakeStepState(T);
-    nn::StateReader reader(bytes);
+    util::ByteReader reader(bytes);
     ASSERT_TRUE(restored->Load(&reader));
     ASSERT_TRUE(reader.AtEnd()) << "trailing bytes after Load";
     ASSERT_EQ(restored->steps_seen, original->steps_seen);
@@ -187,14 +188,111 @@ TEST(ServeRobustnessTest, TruncatedStatePayloadRejected) {
   std::memcpy(sb.mask.data(), obs.mask.data(), sizeof(float) * kFeatures);
   std::memcpy(sb.delta.data(), obs.delta.data(), sizeof(float) * kFeatures);
   model->StepForward(sb, {state.get()}, nullptr);
-  nn::StateWriter writer;
+  util::ByteWriter writer;
   state->Save(&writer);
   const std::string bytes = writer.Take();
   for (size_t cut : {size_t{0}, size_t{4}, bytes.size() - 1}) {
     auto fresh = model->MakeStepState(8);
-    nn::StateReader reader(bytes.data(), cut);
+    util::ByteReader reader(bytes.data(), cut);
     EXPECT_FALSE(fresh->Load(&reader) && reader.AtEnd())
         << "cut=" << cut << " accepted";
+  }
+}
+
+// A state payload whose window fields were edited is rejected by Load or
+// loads into an intact state — never a later CHECK abort or an allocation
+// sized by the corrupt field. Every registry model, mid-stream: each
+// (width, size) window header in the payload has each field set to a
+// mismatched, negative, oversized or off-by-one value.
+TEST(ServeRobustnessTest, CorruptWindowFieldsRejectedOrIntact) {
+  const int64_t capacity = 8;
+  const data::Batch patient = RandomPatient(6, 43);
+  ag::NoGradScope no_grad;
+  auto step = [&](const train::SequenceModel& model, nn::StepState* state,
+                  int64_t t) {
+    train::StepBatch sb;
+    sb.x = Tensor::Empty({1, kFeatures});
+    sb.mask = Tensor::Empty({1, kFeatures});
+    sb.delta = Tensor::Empty({1, kFeatures});
+    serve::Observation obs = RowObservation(patient, t);
+    std::memcpy(sb.x.data(), obs.x.data(), sizeof(float) * kFeatures);
+    std::memcpy(sb.mask.data(), obs.mask.data(), sizeof(float) * kFeatures);
+    std::memcpy(sb.delta.data(), obs.delta.data(), sizeof(float) * kFeatures);
+    model.StepForward(sb, {state}, nullptr);
+  };
+  for (const std::string& name : AllRegistryNames()) {
+    SCOPED_TRACE(name);
+    auto model = baselines::MakeModel(name, kFeatures, /*seed=*/3);
+    auto original = model->MakeStepState(capacity);
+    for (int64_t t = 0; t < 5; ++t) step(*model, original.get(), t);
+    util::ByteWriter writer;
+    original->Save(&writer);
+    const std::string bytes = writer.Take();
+
+    // Window headers: an int64 width, then an int64 row count in
+    // [1, capacity] whose rows fit in the payload.
+    int64_t headers = 0;
+    for (size_t at = 0; at + 16 <= bytes.size(); ++at) {
+      int64_t width = 0, size = 0;
+      std::memcpy(&width, bytes.data() + at, 8);
+      std::memcpy(&size, bytes.data() + at + 8, 8);
+      if (width < 1 || width > 4096 || size < 1 || size > capacity ||
+          at + 16 + static_cast<size_t>(size * width) * 4 > bytes.size()) {
+        continue;
+      }
+      ++headers;
+      std::vector<std::pair<size_t, int64_t>> edits;
+      for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{1}, width - 1,
+                        width + 1, int64_t{1} << 31, int64_t{1} << 40,
+                        int64_t{1} << 62}) {
+        edits.emplace_back(at, v);
+      }
+      for (int64_t v : {int64_t{0}, int64_t{-1}, size - 1, size + 1,
+                        capacity + 1, int64_t{1} << 31, int64_t{1} << 40,
+                        int64_t{1} << 62}) {
+        edits.emplace_back(at + 8, v);
+      }
+      for (const auto& [offset, value] : edits) {
+        std::string edited = bytes;
+        std::memcpy(edited.data() + offset, &value, 8);
+        auto fresh = model->MakeStepState(capacity);
+        util::ByteReader reader(edited);
+        if (fresh->Load(&reader) && reader.AtEnd()) {
+          step(*model, fresh.get(), 5);  // must not abort
+        }
+      }
+    }
+    const bool windowed = name != "GRU" && name != "GRU-D" &&
+                          name != "ConCare";
+    if (windowed) {
+      EXPECT_GE(headers, 1) << "no window header found";
+    }
+  }
+}
+
+// The reported payload: RETAIN over 37 features, whose three raw windows
+// claim width 5 (then 2^40) with one row each. Load must refuse it rather
+// than leave a state that aborts at the next StepForward, or throw while
+// allocating a row of the claimed width. Nine full rows of the right width
+// overflow a capacity-8 window and are refused too, instead of silently
+// evicting the oldest.
+TEST(ServeRobustnessTest, MismatchedWindowWidthRejectedByLoad) {
+  auto model = baselines::MakeModel("RETAIN", 37, /*seed=*/3);
+  for (const auto& [width, rows] :
+       std::vector<std::pair<int64_t, int64_t>>{
+           {5, 1}, {int64_t{1} << 40, 1}, {37, 9}}) {
+    util::ByteWriter writer;
+    writer.Put<int64_t>(1);  // steps_seen
+    for (int w = 0; w < 3; ++w) {
+      writer.Put<int64_t>(width);
+      writer.Put<int64_t>(rows);
+      const std::vector<float> row(static_cast<size_t>(rows * 37), 0.5f);
+      writer.PutArray(row.data(), width == 37 ? row.size() : 5);
+    }
+    const std::string bytes = writer.Take();
+    auto state = model->MakeStepState(8);
+    util::ByteReader reader(bytes);
+    EXPECT_FALSE(state->Load(&reader)) << "width " << width;
   }
 }
 
@@ -457,7 +555,7 @@ TEST(ServeRobustnessTest, RehydrationRejectsTrailingGarbage) {
                             serve::EvictionPolicy::kCheckpointThenEvict);
   // A genuine serialized state, then one stray byte appended.
   auto state = model->MakeStepState(8);
-  nn::StateWriter writer;
+  util::ByteWriter writer;
   state->Save(&writer);
   serve::ParkedSession parked;
   parked.id = 7;

@@ -1,10 +1,12 @@
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "util/argparse.h"
+#include "util/byte_codec.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -187,6 +189,74 @@ TEST(RngTest, ForkProducesIndependentStream) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += parent.Next() == child.Next();
   EXPECT_LT(same, 2);
+}
+
+TEST(ByteCodecTest, RoundTripsValuesArraysAndStrings) {
+  util::ByteWriter writer;
+  writer.Put<uint32_t>(7);
+  writer.Put<double>(-2.5);
+  const float floats[3] = {1.0f, -0.0f, 3.5f};
+  writer.PutArray(floats, 3);
+  writer.PutString<uint32_t>("abc");
+  writer.PutString<int64_t>("");
+  const std::string bytes = writer.Take();
+  EXPECT_EQ(bytes.size(), 4u + 8 + 12 + 4 + 3 + 8);
+
+  util::ByteReader reader(bytes);
+  uint32_t u = 0;
+  double d = 0.0;
+  std::vector<float> back;
+  std::string a, b = "x";
+  EXPECT_TRUE(reader.Get(&u) && reader.Get(&d) && reader.GetArray(&back, 3) &&
+              reader.GetString<uint32_t>(&a) && reader.GetString<int64_t>(&b));
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(u, 7u);
+  EXPECT_EQ(d, -2.5);
+  EXPECT_EQ(back, std::vector<float>(floats, floats + 3));
+  EXPECT_TRUE(std::signbit(back[1]));
+  EXPECT_EQ(a, "abc");
+  EXPECT_EQ(b, "");
+}
+
+// Counts whose byte size overflows size_t, negative lengths and lengths
+// past a cap are refused without reading or allocating, and a refusal
+// poisons every later read.
+TEST(ByteCodecTest, OversizedCountsFailAndPoison) {
+  const std::string bytes(16, '\x01');
+  {
+    util::ByteReader reader(bytes);
+    EXPECT_EQ(reader.Take(uint64_t{1} << 62, 8), nullptr);
+    EXPECT_FALSE(reader.ok());
+    uint8_t byte = 0;
+    EXPECT_FALSE(reader.Get(&byte)) << "a failed read must poison";
+  }
+  {
+    util::ByteReader reader(bytes);
+    std::vector<int64_t> values;
+    EXPECT_FALSE(reader.GetArray(&values, (uint64_t{1} << 61) + 1));
+    EXPECT_TRUE(values.empty());
+  }
+  {
+    util::ByteReader reader(bytes);
+    EXPECT_EQ(reader.Take(17), nullptr);
+    util::ByteReader exact(bytes);
+    EXPECT_NE(exact.Take(2, 8), nullptr);
+    EXPECT_TRUE(exact.AtEnd());
+  }
+  for (int64_t length : {int64_t{-1}, int64_t{1} << 62, int64_t{9}}) {
+    util::ByteWriter writer;
+    writer.PutString<int64_t>("12345678");
+    std::string edited = writer.Take();
+    std::memcpy(edited.data(), &length, sizeof(length));
+    util::ByteReader reader(edited);
+    std::string out;
+    EXPECT_FALSE(reader.GetString<int64_t>(&out)) << length;
+  }
+  util::ByteWriter writer;
+  writer.PutString<uint32_t>("toolong");
+  util::ByteReader capped(writer.bytes());
+  std::string out;
+  EXPECT_FALSE(capped.GetString<uint32_t>(&out, 6));
 }
 
 TEST(TableTest, AlignsColumns) {
