@@ -185,8 +185,8 @@ ShardReader::ShardReader(const std::string& path) : path_(path) {
     Fail("header CRC mismatch: " + path);
     return;
   }
-  ScanFrames();
   ok_ = true;
+  ScanFrames();
 }
 
 ShardReader::~ShardReader() {
@@ -201,6 +201,7 @@ void ShardReader::Fail(std::string message) {
 
 void ShardReader::ScanFrames() {
   util::ByteReader scan(map_ + kHeaderSize, map_size_ - kHeaderSize);
+  bool meta_seen = false;
   while (scan.remaining() >= kFrameHeaderSize) {
     uint32_t frame_magic = 0;
     std::string_view payload;
@@ -208,18 +209,26 @@ void ShardReader::ScanFrames() {
     scan.Get(&frame_magic);
     if (frame_magic != kMetaMagic && frame_magic != kRecordMagic) {
       tail_truncated_ = true;  // chain broken; keep the valid prefix
-      return;
+      break;
     }
     if (!scan.GetView<uint32_t>(&payload) || !scan.Get(&crc)) {
       tail_truncated_ = true;  // torn tail: writer died mid-record
-      return;
+      break;
     }
     if (frame_magic == kMetaMagic) {
-      if (health::Crc32(payload) == crc) {
-        ParseMeta(payload);
-      } else {
-        ++num_quarantined_;
+      // The names are the shard's schema: a meta frame that fails its CRC,
+      // does not parse or names other than num_features columns fails the
+      // whole shard, where a bad record only quarantines itself.
+      if (health::Crc32(payload) != crc) {
+        Fail("meta frame CRC mismatch: " + path_);
+        return;
       }
+      if (!ParseMeta(payload) ||
+          static_cast<int64_t>(feature_names_.size()) != num_features_) {
+        Fail("unparseable meta frame: " + path_);
+        return;
+      }
+      meta_seen = true;
     } else {
       RecordRef ref;
       ref.payload_offset = static_cast<uint64_t>(
@@ -230,6 +239,7 @@ void ShardReader::ScanFrames() {
     }
   }
   if (scan.remaining() != 0) tail_truncated_ = true;
+  if (!meta_seen) Fail("no meta frame: " + path_);
 }
 
 bool ShardReader::ParseMeta(std::string_view payload) {

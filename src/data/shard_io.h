@@ -38,6 +38,9 @@
 //   - Payload CRCs are validated at decode time, not open time. A corrupt
 //     record makes `Read()` return false and is counted in
 //     `num_quarantined()`; it never aborts the process.
+//   - The meta frame (feature names) is checked at open: a shard whose meta
+//     frame is missing, fails its CRC, does not parse or names other than
+//     the header's feature count is not `ok()`.
 
 #ifndef ELDA_DATA_SHARD_IO_H_
 #define ELDA_DATA_SHARD_IO_H_

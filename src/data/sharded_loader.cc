@@ -24,11 +24,24 @@ bool KeepIndex(int64_t global_index, int64_t split_mod,
   return false;
 }
 
+// Why `reader` cannot join a cohort of `num_features` columns, or "" when it
+// can.
+std::string ShardProblem(const ShardReader& reader, const std::string& path,
+                         int64_t num_features) {
+  if (!reader.ok()) return reader.error();
+  if (reader.num_features() != num_features) {
+    return "shard " + path + " has " + std::to_string(reader.num_features()) +
+           " features, the cohort " + std::to_string(num_features);
+  }
+  return "";
+}
+
 }  // namespace
 
 Standardizer FitStandardizerFromShards(
     const std::vector<std::string>& shard_paths, int64_t split_mod,
-    const std::vector<int64_t>& split_keep, bool clean_negative) {
+    const std::vector<int64_t>& split_keep, bool clean_negative,
+    std::string* error) {
   ELDA_CHECK(!shard_paths.empty());
   std::vector<double> sum, sum_sq;
   std::vector<int64_t> count;
@@ -36,14 +49,17 @@ Standardizer FitStandardizerFromShards(
   int64_t global_index = 0;
   for (const std::string& path : shard_paths) {
     ShardReader reader(path);
-    ELDA_CHECK(reader.ok()) << reader.error();
-    if (num_features < 0) {
+    if (num_features < 0 && reader.ok()) {
       num_features = reader.num_features();
       sum.assign(num_features, 0.0);
       sum_sq.assign(num_features, 0.0);
       count.assign(num_features, 0);
     }
-    ELDA_CHECK_EQ(reader.num_features(), num_features);
+    const std::string problem = ShardProblem(reader, path, num_features);
+    if (!problem.empty()) {
+      if (error != nullptr) *error = problem;
+      return Standardizer();
+    }
     for (int64_t i = 0; i < reader.size(); ++i, ++global_index) {
       if (!KeepIndex(global_index, split_mod, split_keep)) continue;
       EmrSample s;
@@ -83,18 +99,29 @@ ShardedLoader::ShardedLoader(const std::vector<std::string>& shard_paths,
       standardizer_(standardizer),
       rng_(options_.seed) {
   ELDA_CHECK(!shard_paths.empty());
-  ELDA_CHECK(standardizer_ != nullptr && standardizer_->fitted());
+  ELDA_CHECK(standardizer_ != nullptr);
   ELDA_CHECK_GT(options_.batch_size, 0);
   ELDA_CHECK_GT(options_.num_buckets, 0);
   ELDA_CHECK_GT(options_.split_mod, 0);
+  // FitStandardizerFromShards leaves the standardizer unfitted when it
+  // rejects a shard.
+  if (!standardizer_->fitted()) {
+    Reject("standardizer is not fitted");
+    return;
+  }
 
   int64_t global_index = 0;
   for (const std::string& path : shard_paths) {
     auto reader = std::make_unique<ShardReader>(path);
-    ELDA_CHECK(reader->ok()) << reader->error();
-    if (feature_names_.empty()) feature_names_ = reader->feature_names();
-    ELDA_CHECK_EQ(reader->num_features(),
-                  static_cast<int64_t>(feature_names_.size()));
+    if (readers_.empty() && reader->ok()) {
+      feature_names_ = reader->feature_names();
+    }
+    const std::string problem = ShardProblem(
+        *reader, path, static_cast<int64_t>(feature_names_.size()));
+    if (!problem.empty()) {
+      Reject(problem);
+      return;
+    }
     const int32_t shard_id = static_cast<int32_t>(readers_.size());
     for (int64_t i = 0; i < reader->size(); ++i, ++global_index) {
       if (!KeepIndex(global_index, options_.split_mod, options_.split_keep)) {
@@ -120,7 +147,10 @@ ShardedLoader::ShardedLoader(const std::vector<std::string>& shard_paths,
     reader->ReleasePages();
     readers_.push_back(std::move(reader));
   }
-  ELDA_CHECK(!entries_.empty()) << "loader split selects no records";
+  if (entries_.empty()) {
+    Reject("the loader split selects no readable records");
+    return;
+  }
 
   // Bucket boundaries are length quantiles of the kept records, so each
   // bucket holds ~1/num_buckets of the cohort and padding within a bucket
@@ -148,6 +178,13 @@ ShardedLoader::ShardedLoader(const std::vector<std::string>& shard_paths,
 }
 
 ShardedLoader::~ShardedLoader() { StopPrefetch(); }
+
+void ShardedLoader::Reject(std::string message) {
+  error_ = std::move(message);
+  readers_.clear();
+  feature_names_.clear();
+  entries_.clear();
+}
 
 int64_t ShardedLoader::NumBatchesPerEpoch() const {
   int64_t batches = 0;

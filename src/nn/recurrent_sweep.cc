@@ -97,12 +97,13 @@ SweepResult GruSweep(const GruCell& cell, const ag::Variable& x,
       [&cell](const ag::Variable& rows) { return cell.PrecomputeInput(rows); });
   ag::Variable h0 =
       ag::Constant(Tensor::Zeros({batch, cell.hidden_size()}));
+  const Tensor w_hh_t = cell.RecurrentWeightT();
   SweepOptions inner = options;
   inner.label = "GruSweep/steps";
   return Sweep(
       steps, h0,
-      [&cell, &xw_all, batch](int64_t t, const ag::Variable& h) {
-        return cell.Step(ag::RowsView(xw_all, t * batch, batch), h);
+      [&cell, &xw_all, &w_hh_t, batch](int64_t t, const ag::Variable& h) {
+        return cell.Step(ag::RowsView(xw_all, t * batch, batch), h, w_hh_t);
       },
       inner);
 }
@@ -117,12 +118,13 @@ SweepResult LstmSweep(const LstmCell& cell, const ag::Variable& x,
       [&cell](const ag::Variable& rows) { return cell.PrecomputeInput(rows); });
   ag::Variable s0 =
       ag::Constant(Tensor::Zeros({2, batch, cell.hidden_size()}));
+  const Tensor w_hh_t = cell.RecurrentWeightT();
   SweepOptions inner = options;
   inner.label = "LstmSweep/steps";
   SweepResult packed = Sweep(
       steps, s0,
-      [&cell, &xw_all, batch](int64_t t, const ag::Variable& s) {
-        return cell.Step(ag::RowsView(xw_all, t * batch, batch), s);
+      [&cell, &xw_all, &w_hh_t, batch](int64_t t, const ag::Variable& s) {
+        return cell.Step(ag::RowsView(xw_all, t * batch, batch), s, w_hh_t);
       },
       inner);
   SweepResult result;

@@ -95,8 +95,9 @@ Tensor SoftmaxLastAxisGrad(const Tensor& g, const Tensor& y);
 // acc = fma(a_ip, b_pj, acc) for p ascending — the sequence GemmReference
 // spells out below. Two kernels serve it, both bitwise identical to
 // GemmReference for all inputs, transposes and thread counts: the packed,
-// cache-blocked kernel for large products, and register-blocked Product
-// tasks from one planner for every other product. Both overwrite every
+// cache-blocked kernel where enough row blocks reuse its packed panels (a
+// rule on the row-block count, k, n and the thread count), and
+// register-blocked Product tasks from one planner for every other product. Both overwrite every
 // output element, so the output is allocated uninitialised.
 Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);

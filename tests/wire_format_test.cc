@@ -234,6 +234,34 @@ bool ShardRecordRejected(const std::string& path) {
   return !SameSample(sample, ShardSamples()[0]);
 }
 
+// Both loader entry points must report a shard set that holds a bad shard:
+// FitStandardizerFromShards with an unfitted result and a reason, the
+// ShardedLoader (given a standardizer fitted elsewhere, so it opens the bad
+// shard itself) with !ok() and no batches. Neither may abort.
+void ExpectLoaderRejects(const std::vector<std::string>& paths,
+                         const char* what) {
+  SCOPED_TRACE(what);
+  std::string error;
+  const data::Standardizer fitted =
+      data::FitStandardizerFromShards(paths, 1, {0}, true, &error);
+  EXPECT_FALSE(fitted.fitted());
+  EXPECT_FALSE(error.empty());
+  data::Standardizer standardizer;
+  standardizer.Restore({0.0f, 0.0f}, {1.0f, 1.0f}, true);
+  data::ShardedLoaderOptions options;
+  options.prefetch = false;
+  data::ShardedLoader loader(paths, &standardizer, options);
+  EXPECT_FALSE(loader.ok());
+  EXPECT_FALSE(loader.error().empty());
+  EXPECT_EQ(loader.NumBatchesPerEpoch(), 0);
+  loader.StartEpoch();
+  data::Batch batch;
+  EXPECT_FALSE(loader.Next(&batch));
+  // The unfitted standardizer a rejected fit returns is refused the same way.
+  data::ShardedLoader unfitted({paths.front()}, &fitted, options);
+  EXPECT_FALSE(unfitted.ok());
+}
+
 std::vector<std::string> AllRegistryNames() {
   std::vector<std::string> names = baselines::AllModelNames();
   names.push_back("ELDA-Net-Fbi*");
@@ -462,18 +490,41 @@ TEST(WireFormatTest, ShardPinnedAndDecoderSweep) {
     WriteFile(probe, edit);
     EXPECT_TRUE(ShardRecordRejected(probe)) << "frame size";
   }
-  // Meta frame: name count and the first name's length.
+  // Meta frame: name count and the first name's length, re-framed with a
+  // valid CRC. The names are the shard's schema, so every edit fails the
+  // reader, and both loader entry points report it instead of aborting.
   const std::string meta = shard.substr(kMetaPayload, kMetaPayloadSize);
   for (size_t field : {size_t{0}, size_t{4}}) {
     for (const std::string& edit : FieldEdits<uint32_t>(meta, field)) {
       WriteFile(probe,
                 ReframeShard(shard, kMetaPayload, kMetaPayloadSize, edit));
       data::ShardReader reader(probe);
-      EXPECT_TRUE(!reader.ok() ||
-                  reader.feature_names() !=
-                      std::vector<std::string>({"hr", "sbp"}))
-          << "meta field " << field;
+      EXPECT_FALSE(reader.ok()) << "meta field " << field;
+      ExpectLoaderRejects({path, probe}, "meta field");
     }
+  }
+  // One name too few, consistently framed: the meta frame parses but names
+  // one column where the header says two.
+  {
+    std::string one_name(kMetaPayloadSize, '\0');
+    const uint32_t count = 1, length = kMetaPayloadSize - 8;
+    std::memcpy(one_name.data(), &count, 4);
+    std::memcpy(one_name.data() + 4, &length, 4);
+    WriteFile(probe,
+              ReframeShard(shard, kMetaPayload, kMetaPayloadSize, one_name));
+    EXPECT_FALSE(data::ShardReader(probe).ok());
+    ExpectLoaderRejects({path, probe}, "one name");
+  }
+  // A meta frame that fails its CRC, and a shard cut inside its meta frame.
+  {
+    std::string bad_crc = shard;
+    bad_crc[kMetaPayload] ^= 1;
+    WriteFile(probe, bad_crc);
+    EXPECT_FALSE(data::ShardReader(probe).ok());
+    ExpectLoaderRejects({probe}, "meta CRC");
+    WriteFile(probe, shard.substr(0, kMetaPayload + 2));
+    EXPECT_FALSE(data::ShardReader(probe).ok());
+    ExpectLoaderRejects({probe}, "cut meta");
   }
   std::remove(path.c_str());
   std::remove(probe.c_str());
