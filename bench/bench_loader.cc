@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -79,6 +80,10 @@ EpochResult DrainOneEpoch(const std::vector<std::string>& paths,
   options.num_buckets = buckets;
   options.prefetch = prefetch;
   data::ShardedLoader loader(paths, &standardizer, options);
+  if (!loader.ok()) {
+    std::cerr << "bench_loader: " << loader.error() << "\n";
+    std::exit(1);
+  }
 
   EpochResult result;
   result.buckets = buckets;
@@ -159,8 +164,13 @@ int main(int argc, char** argv) {
   }
   std::cout << "peak RSS after generation: " << PeakRssMb() << " MiB\n";
 
+  std::string error;
   const data::Standardizer standardizer =
-      data::FitStandardizerFromShards(info.paths);
+      data::FitStandardizerFromShards(info.paths, 1, {0}, true, &error);
+  if (!error.empty()) {
+    std::cerr << "bench_loader: " << error << "\n";
+    return 1;
+  }
   std::cout << "peak RSS after standardizer fit: " << PeakRssMb()
             << " MiB\n\n";
 

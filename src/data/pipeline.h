@@ -152,6 +152,10 @@ class BatchSource {
   // Returns false (leaving the source untouched) on a malformed or
   // incompatible state string.
   virtual bool RestoreState(const std::string& state) = 0;
+
+  // Why the source yields nothing when it rejected its input (e.g. a shard
+  // that does not open cleanly); empty otherwise.
+  virtual std::string error() const { return std::string(); }
 };
 
 // Iterates mini-batches over a fixed index set, reshuffling every epoch. An

@@ -193,8 +193,11 @@ MultiTaskTrainResult RunLoop(const TrainerConfig& config, const LoopJob& job) {
   MultiTaskTrainResult result;
   result.num_parameters = job.saved->NumParameters();
   if (job.train->NumBatchesPerEpoch() == 0) {
+    const std::string rejected = job.train->error();
     result.status = health::TrainStatus::kEmptyTrainSplit;
-    result.status_message = "train split is empty; nothing to train on";
+    result.status_message =
+        rejected.empty() ? "train split is empty; nothing to train on"
+                         : "train source rejected its input: " + rejected;
     return result;
   }
   const SequenceModel& model = *job.model;

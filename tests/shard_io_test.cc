@@ -456,6 +456,28 @@ TEST(TrainStreamedTest, TrainsFromShardsWithValAndTest) {
   EXPECT_GT(result.num_parameters, 0);
 }
 
+TEST(TrainStreamedTest, RejectedSourceReportsItsReason) {
+  // A shard set the loader rejects: the run must stop with the loader's
+  // reason, not a bare "train split is empty".
+  const LoaderFixture fixture("streamed_rejected", /*admissions=*/20);
+  ShardedLoaderOptions options;
+  options.prefetch = false;
+  ShardedLoader train(
+      {fixture.info.paths.front(), TempPrefix("streamed_missing") + ".shard"},
+      &fixture.standardizer, options);
+  ASSERT_FALSE(train.ok());
+  TinyGruModel model(static_cast<int64_t>(
+                         fixture.standardizer.means().size()),
+                     8, /*seed=*/5);
+  const train::TrainResult result =
+      train::Trainer(train::TrainerConfig{}).TrainStreamed(&model, &train,
+                                                           nullptr, nullptr);
+  EXPECT_EQ(result.status, health::TrainStatus::kEmptyTrainSplit);
+  EXPECT_EQ(result.epochs_run, 0);
+  EXPECT_NE(result.status_message.find(train.error()), std::string::npos)
+      << result.status_message;
+}
+
 TEST(TrainStreamedTest, CheckpointResumeIsBitwise) {
   const LoaderFixture fixture("streamed_resume", /*admissions=*/60);
   const int64_t features =
