@@ -201,6 +201,10 @@ const SmallProduct kSmallProducts[] = {
     // against a B past L2, packed at one thread, Product tasks at four.
     {"GRU dW_ih [3072,37]^Tx[3072,192]", {3072, 37}, {3072, 192}, true,
      false},
+    // 14: the GRU input projection's dX = dgates W_ih over B·T = 3072 rows,
+    // NT with n = 37: Product tasks at one thread (37 pads to 64 packed
+    // columns but 48 Product lanes) and at four.
+    {"GRU dX [3072,192]x[37,192]^T", {3072, 192}, {37, 192}, false, true},
 };
 
 void BM_MatMulSmall(benchmark::State& state) {
@@ -214,7 +218,8 @@ void BM_MatMulSmall(benchmark::State& state) {
   state.SetLabel(shape.label);
 }
 BENCHMARK(BM_MatMulSmall)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, {1, 4}});
+    ->ArgsProduct(
+        {{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, {1, 4}});
 
 void BM_MatMulBatchedSmall(benchmark::State& state) {
   // The feature-interaction workload shape: many tiny matmuls.

@@ -3,7 +3,8 @@
 
 Usage:
     python3 bench/check_regression.py FRESH.json [FRESH2.json ...]
-        [--baseline BASELINE.json] [--threshold 0.15] [--all]
+        [--baseline BASELINE.json [BASELINE2.json ...]] [--threshold 0.15]
+        [--all]
 
 Reads the fresh files and the baseline (default: the committed
 BENCH_micro.json next to the repo root), joins rows by benchmark name, and
@@ -11,11 +12,14 @@ fails (exit 1) when any *key op* regressed by more than the threshold
 (default 15% slower in ns_per_iter). With several fresh files -- separate
 runs of the same binary, ideally interleaved with other work -- each row
 is judged on its median across the runs that carry it, so one run slowed
-by hypervisor steal cannot fail a row on its own. Key ops are the single-thread rows of the performance
-substrate plus the end-to-end model benches -- rows whose timing is stable
-on one machine across runs. Multi-thread scaling rows are reported but not
-gated: their baseline numbers depend on the core count of the machine that
-recorded them.
+by hypervisor steal cannot fail a row on its own. Several baseline files
+are joined the same way, each row on its median across them: runs of the
+parent commit interleaved with the fresh runs, so a slow or fast phase of
+the machine moves both sides alike. Key ops are the single-thread rows of
+the performance substrate plus the end-to-end model benches -- rows whose
+timing is stable on one machine across runs. Multi-thread scaling rows are
+reported but not gated: their baseline numbers depend on the core count of
+the machine that recorded them.
 
 A second check needs no baseline: every BM_MatMulSmall/<shape>/4 row whose
 median across the fresh runs is more than 10% slower than its /1 row's
@@ -53,9 +57,10 @@ KEY_OPS = [
     # Eq. 11 dbeta (NT, m = 1), Eq. 9 ds (NT, k = 1), the B=64 GRU step and
     # its dh (NT and against the hoisted W_hh^T) and dW, the B=256 step,
     # ELDA-Net's ward input projection, the GRU input projection,
-    # ELDA-Net's long-k dW_ih and the GRU's dW_ih. The /4 rows gate against
-    # their /1 rows (THREADS_SLOWER_LIMIT), not against the baseline.
-] + [f"BM_MatMulSmall/{shape}/1" for shape in range(14)] + [
+    # ELDA-Net's long-k dW_ih, the GRU's dW_ih and its NT dX. The /4 rows
+    # gate against their /1 rows (THREADS_SLOWER_LIMIT), not against the
+    # baseline.
+] + [f"BM_MatMulSmall/{shape}/1" for shape in range(15)] + [
     "BM_GruForward",
     "BM_RecurrentSweep/256/0",
     "BM_RecurrentSweep/256/1",
@@ -151,10 +156,11 @@ def main():
                         help="one or more freshly measured BENCH_micro.json "
                              "runs; rows gate on their median")
     parser.add_argument(
-        "--baseline",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                             os.pardir, "BENCH_micro.json"),
-        help="baseline json (default: committed BENCH_micro.json)")
+        "--baseline", nargs="+",
+        default=[os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "BENCH_micro.json")],
+        help="one or more baseline jsons, rows judged on their median "
+             "(default: committed BENCH_micro.json)")
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="fail when ns_per_iter grows by more than this "
                              "fraction (default 0.15)")
@@ -163,10 +169,12 @@ def main():
     args = parser.parse_args()
 
     fresh, fresh_quality, fresh_runs = median_rows(args.fresh)
-    base, base_quality = load_rows(args.baseline)
+    base, base_quality, _ = median_rows(args.baseline)
     if len(args.fresh) > 1:
         print(f"fresh ns = median over {len(args.fresh)} runs "
               "(rows carried by fewer runs are marked [n])")
+    if len(args.baseline) > 1:
+        print(f"baseline ns = median over {len(args.baseline)} runs")
 
     joined = sorted(set(fresh) & set(base))
     gated = set(joined) if args.all else {n for n in KEY_OPS if n in joined}

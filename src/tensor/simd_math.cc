@@ -389,5 +389,209 @@ void SoftmaxGradRow(const float* g, const float* y, float* dx, int64_t n) {
   for (int64_t j = 0; j < n; ++j) dx[j] = y[j] * (g[j] - dot);
 }
 
+namespace {
+
+// One row of BiasedSoftmaxRows on the per-row path: the scalar adds, then
+// SoftmaxRow.
+void BiasedSoftmaxRow(float* s, int64_t n, float bias, int64_t col,
+                      float mask) {
+  const bool masked = col >= 0 && col < n;
+  const float m = masked ? (s[col] + bias) + mask : 0.0f;
+  for (int64_t j = 0; j < n; ++j) s[j] = (s[j] + bias) + 0.0f;
+  if (masked) s[col] = m;
+  SoftmaxRow(s, s, n);
+}
+
+#if ELDA_SIMD_AVX2
+
+// FoldMax8 / FoldAdd8 of four rows' lane vectors at once: the same pairs,
+// combined in the same operand order, so lane r of the result is bitwise
+// the fold of v[r]'s lanes. Step 1 pairs lanes (0,1) (2,3) (4,5) (6,7),
+// step 2 their results (01,23) and (45,67), step 3 the two halves.
+template <typename Op>
+inline __m128 Fold8x4(const __m256* v, Op op) {
+  const auto pairs = [&](__m256 a, __m256 b) {
+    return op(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+              _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+  };
+  const __m256 y = pairs(pairs(v[0], v[1]), pairs(v[2], v[3]));
+  const __m256 hi = _mm256_castps128_ps256(_mm256_extractf128_ps(y, 1));
+  return _mm256_castps256_ps128(op(y, hi));
+}
+
+inline __m128 FoldMax8x4(const __m256* v) {
+  return Fold8x4(v, [](__m256 a, __m256 b) { return _mm256_max_ps(a, b); });
+}
+
+inline __m128 FoldAdd8x4(const __m256* v) {
+  return Fold8x4(v, [](__m256 a, __m256 b) { return _mm256_add_ps(a, b); });
+}
+
+// Lane r of x in all eight lanes.
+inline __m256 Broadcast(__m128 x, int r) {
+  return _mm256_permutevar8x32_ps(_mm256_castps128_ps256(x),
+                                  _mm256_set1_epi32(r));
+}
+
+// Four rows of BiasedSoftmaxRows. Row r's lanes see exactly SoftmaxRow's
+// AVX2 sequence on its biased row; the biased values are formed again in
+// pass 2 rather than stored in pass 1 and read back.
+void BiasedSoftmaxRows4(float* s, int64_t ld, int64_t n, const float* bias,
+                        int64_t diag, float mask) {
+  const int64_t full = n & ~int64_t{7};
+  const int64_t tail = n - full;
+  const __m256i tmask = tail > 0 ? TailMask(tail) : _mm256_setzero_si256();
+  const __m256 tmaskf = _mm256_castsi256_ps(tmask);
+  const __m256 neg_inf = _mm256_set1_ps(-HUGE_VALF);
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  float* x[4];
+  __m256 b[4], dmask[4];
+  int64_t dblock[4];  // start of the block holding the masked column, or -1
+  for (int r = 0; r < 4; ++r) {
+    x[r] = s + r * ld;
+    b[r] = _mm256_set1_ps(bias[r]);
+    const int64_t col = r + diag;
+    const bool masked = col >= 0 && col < n;
+    dblock[r] = masked ? col & ~int64_t{7} : -1;
+    // mask in the masked column's lane, +0 in the others.
+    dmask[r] = _mm256_and_ps(
+        _mm256_set1_ps(mask),
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+            iota, _mm256_set1_epi32(static_cast<int32_t>(col & 7)))));
+  }
+  // (x + bias) + (0 or mask) for the block at j; `v` is x's block.
+  const auto biased = [&](int r, int64_t j, __m256 v) {
+    return _mm256_add_ps(_mm256_add_ps(v, b[r]),
+                         j == dblock[r] ? dmask[r] : zero);
+  };
+  // Pass 1: lane-blocked max.
+  __m256 mv[4] = {neg_inf, neg_inf, neg_inf, neg_inf};
+  for (int64_t j = 0; j < full; j += 8) {
+    for (int r = 0; r < 4; ++r) {
+      mv[r] = _mm256_max_ps(mv[r], biased(r, j, _mm256_loadu_ps(x[r] + j)));
+    }
+  }
+  if (tail > 0) {
+    for (int r = 0; r < 4; ++r) {
+      const __m256 xt = _mm256_blendv_ps(
+          neg_inf, biased(r, full, _mm256_maskload_ps(x[r] + full, tmask)),
+          tmaskf);
+      mv[r] = _mm256_max_ps(mv[r], xt);
+    }
+  }
+  const __m128 m4 = FoldMax8x4(mv);
+  __m256 mb[4];
+  for (int r = 0; r < 4; ++r) mb[r] = Broadcast(m4, r);
+  // Pass 2: e = exp(x - m) in place, lane-blocked sum.
+  __m256 sv[4] = {zero, zero, zero, zero};
+  for (int64_t j = 0; j < full; j += 8) {
+    for (int r = 0; r < 4; ++r) {
+      const __m256 ev = Exp8(_mm256_sub_ps(
+          biased(r, j, _mm256_loadu_ps(x[r] + j)), mb[r]));
+      _mm256_storeu_ps(x[r] + j, ev);
+      sv[r] = _mm256_add_ps(sv[r], ev);
+    }
+  }
+  if (tail > 0) {
+    for (int r = 0; r < 4; ++r) {
+      const __m256 ev = Exp8(_mm256_sub_ps(
+          biased(r, full, _mm256_maskload_ps(x[r] + full, tmask)), mb[r]));
+      _mm256_maskstore_ps(x[r] + full, tmask, ev);
+      sv[r] = _mm256_add_ps(sv[r], _mm256_and_ps(ev, tmaskf));
+    }
+  }
+  const __m128 inv4 = _mm_div_ps(_mm_set1_ps(1.0f), FoldAdd8x4(sv));
+  // Pass 3: scale.
+  for (int r = 0; r < 4; ++r) {
+    const __m256 iv = Broadcast(inv4, r);
+    for (int64_t j = 0; j < full; j += 8) {
+      _mm256_storeu_ps(x[r] + j,
+                       _mm256_mul_ps(_mm256_loadu_ps(x[r] + j), iv));
+    }
+    if (tail > 0) {
+      _mm256_maskstore_ps(
+          x[r] + full, tmask,
+          _mm256_mul_ps(_mm256_maskload_ps(x[r] + full, tmask), iv));
+    }
+  }
+}
+
+// Four rows of SoftmaxGradRows, each SoftmaxGradRow's AVX2 sequence.
+void SoftmaxGradRows4(const float* g, const float* y, int64_t ld, float* dx,
+                      int64_t ldx, int64_t n) {
+  const int64_t full = n & ~int64_t{7};
+  const int64_t tail = n - full;
+  const __m256i tmask = tail > 0 ? TailMask(tail) : _mm256_setzero_si256();
+  __m256 sv[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
+                  _mm256_setzero_ps(), _mm256_setzero_ps()};
+  for (int64_t j = 0; j < full; j += 8) {
+    for (int r = 0; r < 4; ++r) {
+      sv[r] = _mm256_fmadd_ps(_mm256_loadu_ps(g + r * ld + j),
+                              _mm256_loadu_ps(y + r * ld + j), sv[r]);
+    }
+  }
+  if (tail > 0) {
+    // Masked loads read +0 in inactive lanes, as in SoftmaxGradRow.
+    for (int r = 0; r < 4; ++r) {
+      sv[r] = _mm256_fmadd_ps(_mm256_maskload_ps(g + r * ld + full, tmask),
+                              _mm256_maskload_ps(y + r * ld + full, tmask),
+                              sv[r]);
+    }
+  }
+  const __m128 dot4 = FoldAdd8x4(sv);
+  for (int r = 0; r < 4; ++r) {
+    const float* gr = g + r * ld;
+    const float* yr = y + r * ld;
+    float* dr = dx + r * ldx;
+    const __m256 db = Broadcast(dot4, r);
+    for (int64_t j = 0; j < full; j += 8) {
+      const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(gr + j), db);
+      _mm256_storeu_ps(dr + j, _mm256_mul_ps(_mm256_loadu_ps(yr + j), d));
+    }
+    if (tail > 0) {
+      const __m256 d =
+          _mm256_sub_ps(_mm256_maskload_ps(gr + full, tmask), db);
+      _mm256_maskstore_ps(
+          dr + full, tmask,
+          _mm256_mul_ps(_mm256_maskload_ps(yr + full, tmask), d));
+    }
+  }
+}
+
+#endif  // ELDA_SIMD_AVX2
+
+}  // namespace
+
+void BiasedSoftmaxRows(float* s, int64_t ld, int64_t rows, int64_t n,
+                       const float* bias, int64_t diag, float mask) {
+  if (n <= 0) return;
+  int64_t r = 0;
+#if ELDA_SIMD_AVX2
+  if (Enabled()) {
+    for (; r + 4 <= rows; r += 4) {
+      BiasedSoftmaxRows4(s + r * ld, ld, n, bias + r, r + diag, mask);
+    }
+  }
+#endif
+  for (; r < rows; ++r) {
+    BiasedSoftmaxRow(s + r * ld, n, bias[r], r + diag, mask);
+  }
+}
+
+void SoftmaxGradRows(const float* g, const float* y, int64_t ld, float* dx,
+                     int64_t ldx, int64_t rows, int64_t n) {
+  if (n <= 0) return;
+  int64_t r = 0;
+#if ELDA_SIMD_AVX2
+  if (Enabled()) {
+    for (; r + 4 <= rows; r += 4) {
+      SoftmaxGradRows4(g + r * ld, y + r * ld, ld, dx + r * ldx, ldx, n);
+    }
+  }
+#endif
+  for (; r < rows; ++r) SoftmaxGradRow(g + r * ld, y + r * ld, dx + r * ldx, n);
+}
+
 }  // namespace simd
 }  // namespace elda

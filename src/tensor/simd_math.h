@@ -182,6 +182,30 @@ void SoftmaxRow(const float* x, float* y, int64_t n);
 // fma, fixed fold tree).
 void SoftmaxGradRow(const float* g, const float* y, float* dx, int64_t n);
 
+// The feature-interaction tile's score rows, in place: row r (0 <= r <
+// rows, n elements at s + r * ld) becomes SoftmaxRow of
+// (s[r][j] + bias[r]) + 0.0f, except its masked column j = r + diag, which
+// gets (s[r][j] + bias[r]) + mask (none when that column is outside
+// [0, n)). Every row is bitwise the scalar adds followed by SoftmaxRow:
+// the AVX2 path runs four rows at once, each keeping SoftmaxRow's lane
+// contract (lane j mod 8, ascending j, -inf / +0 padding, the same fold
+// trees), so their serial folds overlap and the biased scores are never
+// stored and reloaded. Left-over rows and the scalar dispatch take the
+// per-row path. One exception, as for ExpNegReluGrad: the sign bit of a NaN
+// output. When a row holds NaNs of both signs (a NaN input beside a +inf,
+// whose inf - inf is a negative NaN), which one propagates depends on the
+// operand order of each add and multiply, and the compiler may commute
+// those in any body; NaN-ness and every non-NaN output are bitwise.
+void BiasedSoftmaxRows(float* s, int64_t ld, int64_t rows, int64_t n,
+                       const float* bias, int64_t diag, float mask);
+
+// SoftmaxGradRow over `rows` rows: g and y row r at g + r * ld and
+// y + r * ld, dx row r at dx + r * ldx. Bitwise SoftmaxGradRow per row, up
+// to the sign bit of a NaN output as above; the AVX2 path runs four rows at
+// once under the same lane contract.
+void SoftmaxGradRows(const float* g, const float* y, int64_t ld, float* dx,
+                     int64_t ldx, int64_t rows, int64_t n);
+
 // -- Inline AVX2 bodies -----------------------------------------------------
 //
 // The 8-lane mirrors of ExpRef/SigmoidRef/TanhRef, usable from any TU that

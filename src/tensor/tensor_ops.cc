@@ -539,7 +539,9 @@ int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 // pays only where enough rows reuse the packed panels:
 //  - on one thread, kPackedMinRows of them, or a quarter of that once B
 //    outgrows L2 (kPackedL2Floats) and every Product pass re-reads it from
-//    L3;
+//    L3; and only while B's kNR-wide panels pad n by at most
+//    kPanelPadSlack over Product's kProductLanes-wide blocks (n = 37 pads
+//    to 64 packed columns but only 48 Product lanes);
 //  - on several threads, where each thread packs its own A blocks from a B
 //    packed by all of them, for long-k products with kPackedMinRows, or for
 //    tall ones with kPackedTallRows rows and kPackedTallCols columns.
@@ -553,10 +555,18 @@ constexpr int64_t kPackedL2Floats = int64_t{1} << 19;
 constexpr int64_t kPackedLongK = 1024;
 constexpr int64_t kPackedTallRows = 2048;
 constexpr int64_t kPackedTallCols = 64;
+// Packed columns may exceed Product's padded lanes by 1/8 on one thread.
+constexpr int64_t kPanelPadSlack = 8;
 
 bool UsePackedGemm(int64_t m, int64_t k, int64_t n, int64_t threads) {
   if (m < kMR || n < kNR / 2) return false;
   if (threads == 1) {
+    const int64_t packed_cols = CeilDiv(n, kNR) * kNR;
+    const int64_t product_cols = CeilDiv(n, kProductLanes) * kProductLanes;
+    if (packed_cols * kPanelPadSlack >
+        product_cols * (kPanelPadSlack + 1)) {
+      return false;
+    }
     return m >= kPackedMinRows ||
            (m >= kPackedMinRows / 4 && k * n >= kPackedL2Floats);
   }
@@ -1494,7 +1504,8 @@ Tensor LstmGates(const Tensor& xw, const Tensor& hu, const Tensor& bias,
 // Per (b, t) tile these kernels replay the composed chain's float sequence
 // element for element: every product is a strict-k std::fma chain from +0
 // (GemmReference), every elementwise step keeps the composed operand order,
-// and rows go through the same SoftmaxRow / SoftmaxGradRow. The products
+// and every row is bitwise SoftmaxRow's / SoftmaxGradRow's (the rows
+// bodies run four at once under the same lane contract). The products
 // keep blocks of independent chains in registers so they vectorize and
 // overlap, while each output's own chain still steps through k in ascending
 // order. Tiles share nothing, so any partition over threads is bitwise
@@ -1559,26 +1570,70 @@ struct TileScratch {
   float* relu;   // [C, 2E] relu([e ; c]) when the caller keeps no slab
 };
 
+#if ELDA_SIMD_AVX2
+// The 8x8 block of `src` (rows `ls` apart) transposed into `dst` (rows `ld`
+// apart) through registers: values are moved, never changed.
+inline void Transpose8x8(const float* src, int64_t ls, float* dst,
+                         int64_t ld) {
+  __m256 r[8], t[8];
+  for (int q = 0; q < 8; ++q) r[q] = _mm256_loadu_ps(src + q * ls);
+  for (int q = 0; q < 8; q += 2) {
+    t[q] = _mm256_unpacklo_ps(r[q], r[q + 1]);
+    t[q + 1] = _mm256_unpackhi_ps(r[q], r[q + 1]);
+  }
+  for (int q = 0; q < 8; q += 4) {
+    r[q] = _mm256_shuffle_ps(t[q], t[q + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    r[q + 1] = _mm256_shuffle_ps(t[q], t[q + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    r[q + 2] = _mm256_shuffle_ps(t[q + 1], t[q + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    r[q + 3] = _mm256_shuffle_ps(t[q + 1], t[q + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int q = 0; q < 4; ++q) {
+    _mm256_storeu_ps(dst + q * ld,
+                     _mm256_permute2f128_ps(r[q], r[q + 4], 0x20));
+    _mm256_storeu_ps(dst + (q + 4) * ld,
+                     _mm256_permute2f128_ps(r[q], r[q + 4], 0x31));
+  }
+}
+#endif
+
+// u = W ⊙ e and eᵀ [E, cp] for one tile ev [C, E]. eᵀ goes in 8x8 register
+// transposes where SIMD is on, with scalar edges for C and E outside whole
+// blocks; pad lanes j >= C are never written, so they stay zero.
+void TileTransposeAndScale(const float* __restrict__ ev,
+                           const float* __restrict__ w, int64_t C, int64_t E,
+                           int64_t cp, float* __restrict__ u,
+                           float* __restrict__ et) {
+  for (int64_t i = 0; i < C * E; ++i) u[i] = ev[i] * w[i];
+  int64_t c8 = 0, e8 = 0;
+#if ELDA_SIMD_AVX2
+  if (simd::Enabled()) {
+    c8 = C & ~int64_t{7};
+    e8 = E & ~int64_t{7};
+    for (int64_t j = 0; j < c8; j += 8) {
+      for (int64_t k = 0; k < e8; k += 8) {
+        Transpose8x8(ev + j * E + k, E, et + k * cp + j, cp);
+      }
+    }
+  }
+#endif
+  // The rows below c8 past column e8, then every column of the rows from c8.
+  for (int64_t j = 0; j < C; ++j) {
+    for (int64_t k = j < c8 ? e8 : 0; k < E; ++k) {
+      et[k * cp + j] = ev[j * E + k];
+    }
+  }
+}
+
 // The forward chain of one tile ev [C, E] up to relu([e ; e ⊙ α e]),
 // written row-major [C, 2E] to `r`, with eᵀ, u, α and α e left in `s`.
 void TileForward(const float* ev, const float* w, const float* b, int64_t C,
                  int64_t E, TileScratch* s, float* __restrict__ r) {
   const int64_t cp = s->cp;
-  for (int64_t i = 0; i < C * E; ++i) s->u[i] = ev[i] * w[i];
-  for (int64_t j = 0; j < C; ++j) {
-    for (int64_t k = 0; k < E; ++k) s->et[k * cp + j] = ev[j * E + k];
-  }
+  TileTransposeAndScale(ev, w, C, E, cp, s->u, s->et);
   Product({s->u, E, 1}, C, s->et, cp, E, cp, s->alpha, cp);
-  for (int64_t i = 0; i < C; ++i) {
-    // Bias, then the diagonal exclusion: the composed graph's two broadcast
-    // adds, +0 off the diagonal included.
-    float* srow = s->alpha + i * cp;
-    const float bi = b[i];
-    const float diag = (srow[i] + bi) + kDiagMask;
-    for (int64_t j = 0; j < C; ++j) srow[j] = (srow[j] + bi) + 0.0f;
-    srow[i] = diag;
-    simd::SoftmaxRow(srow, srow, C);
-  }
+  // Bias, then the diagonal exclusion (the composed graph's two broadcast
+  // adds, +0 off the diagonal included), then the softmax.
+  simd::BiasedSoftmaxRows(s->alpha, cp, C, C, b, 0, kDiagMask);
   Product({s->alpha, cp, 1}, C, ev, E, C, E, s->wt, E);
   for (int64_t i = 0; i < C; ++i) {
     const float* __restrict__ erow = ev + i * E;
@@ -1709,9 +1764,7 @@ FeatureInteractionTileGrads FeatureInteractionTileBackward(
       Product({pg + n * C * D, D, 1}, C, ppt, K, D, K, dr, K);
       ReluMaskBackward(dr, r, ev, s.wt, C, E, dwt, de);
       Product({dwt, E, 1}, C, s.et, cp, E, cp, da, cp);
-      for (int64_t i = 0; i < C; ++i) {
-        simd::SoftmaxGradRow(da + i * cp, s.alpha + i * cp, ds + i * C, C);
-      }
+      simd::SoftmaxGradRows(da, s.alpha, cp, ds, C, C, C);
       // e's third and fourth uses: α e's right operand, then the scores' eᵀ.
       if (de != nullptr) {
         Product({s.alpha, 1, cp}, C, dwt, E, C, E, t1, E);

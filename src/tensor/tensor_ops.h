@@ -166,10 +166,11 @@ Tensor LstmGates(const Tensor& xw, const Tensor& hu, const Tensor& bias,
 // Every float equals the one the composed op chain (Mul, TransposeLast2,
 // MatMul, Add, Add, Softmax, MatMul, Mul, Concat, Relu, MatMul) produces:
 // each product is a strict-k std::fma chain as in GemmReference, the bias
-// and diagonal adds stay two separate adds, and rows go through
-// simd::SoftmaxRow. The products keep 4-row x 48-lane blocks of those
-// chains in registers (AVX-512F; a portable loop otherwise), which only
-// decides which chains run together. `alpha_out`, when non-null, receives
+// and diagonal adds stay two separate adds, and every row is bitwise
+// simd::SoftmaxRow's (simd::BiasedSoftmaxRows runs four at once). The
+// products keep 4-row x 48-lane blocks of those chains in registers
+// (AVX-512F; a portable loop otherwise), which only decides which chains
+// run together. `alpha_out`, when non-null, receives
 // α as [..., C, C].
 Tensor FeatureInteractionTile(const Tensor& e, const Tensor& w,
                               const Tensor& b, const Tensor& p,

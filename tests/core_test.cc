@@ -556,13 +556,17 @@ TEST(FeatureInteractionTest, TileMatchesComposedChainBitwise) {
   struct Dims {
     int64_t c, e, d;
   };
-  // Every C in {1, 3, 5, 9, 37} against every E in {1, 7, 8, 24, 40}, with
-  // d cycling through 1..5: each product kernel row block (4 rows, then a
-  // 1-3 row rest) and column tail (C padded to 8 lanes, E and 2E wide)
-  // runs. B x T = 1 and 7 tiles, plus 3072 at ELDA-Net's own shape.
+  // Every C in {1, 3, 4, 5, 8, 9, 16, 17, 37} against every E in
+  // {1, 7, 8, 24, 40}, with d cycling through 1..5: the softmax's 4-row
+  // groups and their 1-3 row rest, full and partial 8x8 blocks of the eᵀ
+  // transpose, each product kernel row block (4 rows, then a 1-3 row rest)
+  // and column tail (C padded to 8 lanes, E and 2E wide) all run. B x T = 1
+  // and 7 tiles, plus 3072 at ELDA-Net's own shape; e is also scaled by 30,
+  // so exp underflows to exact zeros and the -1e9 diagonal meets large
+  // scores.
   std::vector<Dims> dims;
   int64_t cycle = 0;
-  for (const int64_t c : {1, 3, 5, 9, 37}) {
+  for (const int64_t c : {1, 3, 4, 5, 8, 9, 16, 17, 37}) {
     for (const int64_t e : {1, 7, 8, 24, 40}) {
       dims.push_back({c, e, 1 + cycle++ % 5});
     }
@@ -580,32 +584,43 @@ TEST(FeatureInteractionTest, TileMatchesComposedChainBitwise) {
     // A non-zero bias so the bias add is exercised (the module inits zeros).
     const Tensor b = Tensor::Normal({dim.c}, 0.0f, 0.5f, &rng);
     for (const std::vector<int64_t>& grid : grids) {
-      Rng data_rng(41 + static_cast<uint64_t>(grid[1]));
-      const Tensor e = Tensor::Normal({grid[0], grid[1], dim.c, dim.e}, 0.0f,
-                                      0.7f, &data_rng);
-      const Tensor cotangent = Tensor::Normal(
-          {grid[0], grid[1], dim.c * dim.d}, 0.0f, 1.0f, &data_rng);
-      for (const bool scalar : {false, true}) {
-        simd::ForceScalar(scalar);
-        const FeatureInteractionRun want = RunFeatureInteraction(
-            ComposedFeatureInteraction, e, w, b, p, cotangent);
-        for (const int64_t threads : {1, 2, 4}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "C=" << dim.c << " E=" << dim.e << " d=" << dim.d
-                       << " tiles=" << grid[0] * grid[1] << " threads="
-                       << threads << (scalar ? " scalar" : " simd"));
-          par::ScopedNumThreads scoped(threads);
-          const FeatureInteractionRun got = RunFeatureInteraction(
-              ag::FeatureInteractionTile, e, w, b, p, cotangent);
-          EXPECT_TRUE(SameBits(got.f, want.f)) << "output";
-          EXPECT_TRUE(SameBits(got.alpha, want.alpha)) << "alpha";
-          EXPECT_TRUE(SameBits(got.de, want.de)) << "de";
-          EXPECT_TRUE(SameBits(got.dw, want.dw)) << "dW_alpha";
-          EXPECT_TRUE(SameBits(got.db, want.db)) << "db_alpha";
-          EXPECT_TRUE(SameBits(got.dp, want.dp)) << "dp";
+      for (const float scale : {1.0f, 30.0f}) {
+        if (scale != 1.0f && grid[0] > 1) continue;
+        Rng data_rng(41 + static_cast<uint64_t>(grid[1]));
+        const Tensor e =
+            MulScalar(Tensor::Normal({grid[0], grid[1], dim.c, dim.e}, 0.0f,
+                                     0.7f, &data_rng),
+                      scale);
+        const Tensor cotangent = Tensor::Normal(
+            {grid[0], grid[1], dim.c * dim.d}, 0.0f, 1.0f, &data_rng);
+        for (const bool scalar : {false, true}) {
+          simd::ForceScalar(scalar);
+          const FeatureInteractionRun want = RunFeatureInteraction(
+              ComposedFeatureInteraction, e, w, b, p, cotangent);
+          for (const int64_t threads : {1, 2, 4}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "C=" << dim.c << " E=" << dim.e << " d=" << dim.d
+                         << " tiles=" << grid[0] * grid[1] << " scale="
+                         << scale << " threads=" << threads
+                         << (scalar ? " scalar" : " simd"));
+            par::ScopedNumThreads scoped(threads);
+            const FeatureInteractionRun got = RunFeatureInteraction(
+                ag::FeatureInteractionTile, e, w, b, p, cotangent);
+            EXPECT_TRUE(SameBits(got.f, want.f)) << "output";
+            EXPECT_TRUE(SameBits(got.alpha, want.alpha)) << "alpha";
+            EXPECT_TRUE(SameBits(got.de, want.de)) << "de";
+            EXPECT_TRUE(SameBits(got.dw, want.dw)) << "dW_alpha";
+            EXPECT_TRUE(SameBits(got.db, want.db)) << "db_alpha";
+            EXPECT_TRUE(SameBits(got.dp, want.dp)) << "dp";
+            // The graph-free forward with no α capture (scoring and
+            // per-step decompensation).
+            EXPECT_TRUE(SameBits(FeatureInteractionTile(e, w, b, p, nullptr),
+                                 want.f))
+                << "graph-free output";
+          }
         }
+        simd::ForceScalar(false);
       }
-      simd::ForceScalar(false);
     }
   }
 }

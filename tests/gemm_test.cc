@@ -286,7 +286,10 @@ TEST(GemmBitwiseTest, DispatchBoundarySweptFromBothSides) {
   // 32) once k * n reaches 2^19 floats (n = 170 | 171 at k = 3072);
   // several threads pack long-k products (k = 1023 | 1024) from 128 rows
   // and tall ones from 2048 rows (2047 | 2048) when n is at least 64 (63 |
-  // 64). Product tasks spread over the threads from 2^15 vector
+  // 64). One thread also packs only while B's 32-wide panels pad n by at
+  // most 1/8 over Product's 16-lane blocks (n = 32 | 33, 48 | 49, 112 |
+  // 113; n = 97 stays with Product, 129 packs). Product tasks spread over
+  // the threads from 2^15 vector
   // multiply-adds (m = 42 | 43 at k = 64, n = 192) and, for an NT product
   // with a transposed copy, from 128 flops per copied float (m = 127 | 128
   // at k = n = 64). Whatever the rule picks, every output must be the
@@ -301,6 +304,7 @@ TEST(GemmBitwiseTest, DispatchBoundarySweptFromBothSides) {
       {{1, 64}, {2047, 2048}, {63, 64}},
       {{1023, 1024}, {7, 8, 57, 127, 128}, {64}},
       {{3072}, {8, 31, 32, 127, 128}, {170, 171}},
+      {{64}, {127, 128, 256}, {32, 33, 37, 48, 49, 97, 112, 113, 129}},
   };
   uint64_t seed = 9001;
   for (const Grid& grid : grids) {

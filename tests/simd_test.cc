@@ -285,8 +285,71 @@ TEST(SimdBitwiseTest, ExpNegReluGradMatchesScalarReference) {
   }
 }
 
+// Rows of n elements at stride ld exercising what the row kernels must
+// carry through unchanged: finite spreads, NaN (with a +inf beside it from
+// n = 10, so the row holds NaNs of both signs), +inf, -inf with -0, an all
+// -inf row, signed zeros and saturating magnitudes. Lanes between n and ld
+// hold a sentinel.
+std::vector<float> SpecialRows(int64_t rows, int64_t n, int64_t ld,
+                               uint64_t seed) {
+  constexpr float kSentinel = 12345.0f;
+  std::vector<float> out(rows * ld, kSentinel);
+  for (int64_t r = 0; r < rows; ++r) {
+    std::vector<float> v = VariedInputs(n + 16, seed + 31 * r);
+    float* row = out.data() + r * ld;
+    for (int64_t j = 0; j < n; ++j) {
+      float x = v[j + 16];  // past VariedInputs' leading specials
+      switch (r % 7) {
+        case 1:
+          if (j == (3 * r) % n) x = kNan;
+          if (j == (3 * r + 9) % n) x = kInf;
+          break;
+        case 2:
+          if (j == (5 * r) % n) x = kInf;
+          break;
+        case 3:
+          x = j % 2 == 0 ? -kInf : (j % 4 == 1 ? -0.0f : x);
+          break;
+        case 4:
+          x = -kInf;
+          break;
+        case 5:
+          x = j % 2 == 0 ? -0.0f : 0.0f;
+          break;
+        case 6:
+          x = x > 0 ? 80.0f : -80.0f;
+          break;
+        default:
+          break;
+      }
+      row[j] = x;
+    }
+  }
+  return out;
+}
+
+// Bitwise equality, except that two NaNs may differ in their sign bit (the
+// documented exception of simd::BiasedSoftmaxRows / SoftmaxGradRows).
+::testing::AssertionResult SameBitsUpToNanSign(const std::vector<float>& got,
+                                               const std::vector<float>& want) {
+  for (size_t i = 0; i < got.size(); ++i) {
+    uint32_t bg, bw;
+    std::memcpy(&bg, &got[i], sizeof(bg));
+    std::memcpy(&bw, &want[i], sizeof(bw));
+    if (std::isnan(got[i]) && std::isnan(want[i])) {
+      bg &= 0x7FFFFFFFu;
+      bw &= 0x7FFFFFFFu;
+    }
+    if (bg != bw) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(SimdBitwiseTest, SoftmaxRowMatchesScalarReference) {
-  for (int64_t n = 1; n <= 33; ++n) {
+  for (int64_t n = 1; n <= 49; ++n) {
     std::vector<float> x = VariedInputs(n, 13 * n);
     // Softmax rows must be NaN/inf free to stay meaningful; replace specials
     // with finite values but keep +/-0, denormals, and large magnitudes.
@@ -322,6 +385,48 @@ TEST(SimdBitwiseTest, SoftmaxRowMatchesScalarReference) {
     std::vector<float> inplace = x;
     simd::SoftmaxRow(inplace.data(), inplace.data(), n);
     ASSERT_EQ(std::memcmp(inplace.data(), y_vec.data(), n * sizeof(float)), 0);
+
+    // Rows at once == row by row: BiasedSoftmaxRows against the scalar
+    // adds then SoftmaxRow per row, SoftmaxGradRows against SoftmaxGradRow,
+    // under each dispatch (with SIMD on, rows 0-7 run the four-row bodies
+    // and row 8 the per-row one). Nine rows at strides past n, with the
+    // masked column on the first row's diagonal, two columns left of it,
+    // and outside every row.
+    constexpr int64_t kRows = 9;
+    const int64_t ld = n + 3, ldx = n + 1;
+    const float bias[kRows] = {0.5f, -0.0f, 0.0f, 3.0f, -2.25f,
+                               1e-3f, -80.0f, 7.0f, -0.5f};
+    for (const bool scalar : {false, true}) {
+      ScopedForceScalar force(scalar);
+      for (const int64_t diag : {int64_t{0}, int64_t{-2}, n}) {
+        const std::vector<float> in = SpecialRows(kRows, n, ld, 7 * n);
+        std::vector<float> got = in, want = in;
+        simd::BiasedSoftmaxRows(got.data(), ld, kRows, n, bias, diag, -1e9f);
+        for (int64_t r = 0; r < kRows; ++r) {
+          float* row = want.data() + r * ld;
+          const int64_t col = r + diag;
+          const float masked =
+              col >= 0 && col < n ? (row[col] + bias[r]) + -1e9f : 0.0f;
+          for (int64_t j = 0; j < n; ++j) row[j] = (row[j] + bias[r]) + 0.0f;
+          if (col >= 0 && col < n) row[col] = masked;
+          simd::SoftmaxRow(row, row, n);
+        }
+        ASSERT_TRUE(SameBitsUpToNanSign(got, want))
+            << "BiasedSoftmaxRows n=" << n << " diag=" << diag
+            << (scalar ? " scalar" : " simd");
+      }
+      const std::vector<float> gin = SpecialRows(kRows, n, ld, 11 * n + 1);
+      const std::vector<float> yin = SpecialRows(kRows, n, ld, 13 * n + 2);
+      std::vector<float> got(kRows * ldx, -7.0f), want(kRows * ldx, -7.0f);
+      simd::SoftmaxGradRows(gin.data(), yin.data(), ld, got.data(), ldx,
+                            kRows, n);
+      for (int64_t r = 0; r < kRows; ++r) {
+        simd::SoftmaxGradRow(gin.data() + r * ld, yin.data() + r * ld,
+                             want.data() + r * ldx, n);
+      }
+      ASSERT_TRUE(SameBitsUpToNanSign(got, want))
+          << "SoftmaxGradRows n=" << n << (scalar ? " scalar" : " simd");
+    }
   }
 }
 
