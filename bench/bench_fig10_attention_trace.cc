@@ -14,6 +14,7 @@
 
 #include "bench/bench_common.h"
 #include "core/elda.h"
+#include "core/interpret.h"
 #include "synth/features.h"
 
 namespace elda {
@@ -51,20 +52,17 @@ void PrintTrace(const std::string& title, const core::Elda& elda,
   std::cout << table.ToString();
 
   // Episode (hours 16-29) vs baseline (hours 0-11) attention summary.
-  auto window_mean = [&](int64_t j, int64_t from, int64_t to) {
-    double sum = 0.0;
-    for (int64_t t = from; t < to; ++t) {
-      sum += interp.feature_attention.at({t, glucose, j});
-    }
-    return 100.0 * sum / (to - from);
-  };
   TablePrinter summary(
       {"feature", "pre-episode (0-11)", "episode (16-29)", "late (40-47)"});
   for (const std::string& name : TracedFeatures()) {
-    const int64_t j = synth::FeatureIndexByName(name);
-    summary.AddRow({name, TablePrinter::Num(window_mean(j, 0, 12), 1),
-                    TablePrinter::Num(window_mean(j, 16, 30), 1),
-                    TablePrinter::Num(window_mean(j, 40, 48), 1)});
+    const std::vector<float> trace = core::AttentionTrace(
+        interp.feature_attention, glucose, synth::FeatureIndexByName(name));
+    const auto window_pct = [&](int64_t from, int64_t to) {
+      return TablePrinter::Num(100.0 * core::TraceWindowMean(trace, from, to),
+                               1);
+    };
+    summary.AddRow(
+        {name, window_pct(0, 12), window_pct(16, 30), window_pct(40, 48)});
   }
   std::cout << summary.ToString() << "\n";
 }

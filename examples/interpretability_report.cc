@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "core/elda.h"
+#include "core/interpret.h"
 #include "synth/features.h"
 #include "synth/simulator.h"
 #include "util/argparse.h"
@@ -17,11 +18,6 @@
 namespace {
 
 using elda::TablePrinter;
-
-struct ScoredPair {
-  int64_t row, col;
-  float weight;
-};
 
 }  // namespace
 
@@ -75,27 +71,15 @@ int main(int argc, char** argv) {
 
   // --- Feature level: strongest interactions at the top critical hour. ----
   const int64_t hot = hours[0];
-  std::vector<ScoredPair> pairs;
-  for (int64_t i = 0; i < patient.num_features; ++i) {
-    for (int64_t j = 0; j < patient.num_features; ++j) {
-      if (i == j) continue;
-      pairs.push_back(
-          {i, j, interp.feature_attention.at({hot, i, j})});
-    }
-  }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const ScoredPair& a, const ScoredPair& b) {
-              return a.weight > b.weight;
-            });
   std::cout << "Strongest feature interactions at hour " << hot << ":\n";
   TablePrinter pair_table(
       {"processing feature", "interacting with", "attention", "value(z)"});
-  for (int64_t k = 0; k < 8; ++k) {
-    const ScoredPair& p = pairs[k];
+  for (const core::InteractionScore& p :
+       core::TopInteractions(interp.feature_attention, hot, 8)) {
     const float z =
-        (patient.value(hot, p.col) - elda.standardizer().mean(p.col)) /
-        elda.standardizer().stddev(p.col);
-    pair_table.AddRow({names[p.row], names[p.col],
+        (patient.value(hot, p.target) - elda.standardizer().mean(p.target)) /
+        elda.standardizer().stddev(p.target);
+    pair_table.AddRow({names[p.source], names[p.target],
                        TablePrinter::Num(100.0 * p.weight, 1) + "%",
                        TablePrinter::Num(z, 2)});
   }

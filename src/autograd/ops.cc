@@ -506,24 +506,12 @@ Variable MeanAll(const Variable& a) {
   return MulScalar(SumAll(a), inv);
 }
 
-Variable Softmax(const Variable& a, int64_t axis) {
-  const int64_t rank = a.value().dim();
-  const int64_t norm_axis = axis < 0 ? axis + rank : axis;
-  Tensor y = elda::Softmax(a.value(), norm_axis);
-  const bool last_axis = norm_axis == rank - 1;
-  return MakeOpResult(y, {a}, [y, norm_axis, last_axis](Node* n) {
-    // dx = y * (g - sum(g * y, axis, keepdims)). On the last axis the fused
-    // row kernel computes the dot under the 8-lane reduction contract in
-    // one pass; other axes keep the composed Mul/Sum/Sub/Mul chain.
-    if (last_axis) {
-      AccumulateGrad(n->parents[0].get(),
-                     elda::SoftmaxLastAxisGrad(n->grad, y));
-      return;
-    }
-    Tensor gy = elda::Mul(n->grad, y);
-    Tensor s = elda::Sum(gy, norm_axis, /*keepdims=*/true);
+Variable Softmax(const Variable& a) {
+  Tensor y = elda::Softmax(a.value());
+  return MakeOpResult(y, {a}, [y](Node* n) {
+    // dx = y * (g - sum(g * y)) per row, one fused rows pass.
     AccumulateGrad(n->parents[0].get(),
-                   elda::Mul(y, elda::Sub(n->grad, s)));
+                   elda::SoftmaxLastAxisGrad(n->grad, y));
   });
 }
 

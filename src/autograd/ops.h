@@ -143,10 +143,11 @@ Variable Mean(const Variable& a, int64_t axis, bool keepdims = false);
 Variable SumAll(const Variable& a);   // -> scalar
 Variable MeanAll(const Variable& a);  // -> scalar
 
-// Numerically stable softmax along `axis`. To mask entries out (e.g. the
-// diagonal of an interaction matrix, or future time steps), add a constant
-// tensor of large negative values to the logits first.
-Variable Softmax(const Variable& a, int64_t axis);
+// Numerically stable softmax along the last axis (elda::Softmax). To mask
+// entries out (e.g. the diagonal of an interaction matrix, or future time
+// steps), add a constant tensor of large negative values to the logits
+// first.
+Variable Softmax(const Variable& a);
 
 // -- Regularisation ---------------------------------------------------------------------------
 

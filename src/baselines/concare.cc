@@ -70,7 +70,7 @@ ag::Variable ConCare::EncodeTerminal(const data::Batch& batch,
   ag::Variable v = wv_.Forward(features);
   const float scale = 1.0f / std::sqrt(static_cast<float>(hidden_));
   ag::Variable attention = ag::Softmax(
-      ag::MulScalar(ag::MatMul(q, ag::TransposeLast2(k)), scale), -1);
+      ag::MulScalar(ag::MatMul(q, ag::TransposeLast2(k)), scale));
   ag::Variable mixed = ag::MatMul(attention, v);  // [B, C, u]
   // Residual connection keeps each feature's own evidence.
   ag::Variable rep = ag::AddTanh(features, mixed);
@@ -136,7 +136,7 @@ ag::Variable ConCare::StepForward(const train::StepBatch& obs,
   ag::Variable v = wv_.Forward(features);
   const float scale = 1.0f / std::sqrt(static_cast<float>(hidden_));
   ag::Variable attention = ag::Softmax(
-      ag::MulScalar(ag::MatMul(q, ag::TransposeLast2(k)), scale), -1);
+      ag::MulScalar(ag::MatMul(q, ag::TransposeLast2(k)), scale));
   ag::Variable mixed = ag::MatMul(attention, v);
   ag::Variable rep = ag::AddTanh(features, mixed);
   ag::Variable flat = ag::Reshape(rep, {n, num_features() * hidden_});

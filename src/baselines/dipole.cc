@@ -104,7 +104,7 @@ ag::Variable Dipole::EncodeTerminal(const data::Batch& batch,
       break;
     }
   }
-  ag::Variable alpha = ag::Softmax(scores, 1);  // [B, T-1]
+  ag::Variable alpha = ag::Softmax(scores);  // [B, T-1]
   if (ctx != nullptr) ctx->Capture("time_attention", alpha.value());
   ag::Variable context = ag::Reshape(
       ag::MatMul(ag::Reshape(alpha, {batch_size, 1, steps - 1}), h_prev),

@@ -38,8 +38,8 @@ ag::Variable Retain::EncodeTerminal(const data::Batch& batch,
       nn::GruSweep(alpha_gru_.cell(), v, reversed).Stacked();  // [B, T, m]
   ag::Variable h =
       nn::GruSweep(beta_gru_.cell(), v, reversed).Stacked();   // [B, T, m]
-  ag::Variable alpha = ag::Softmax(
-      ag::Reshape(alpha_head_.Forward(g), {batch_size, steps}), 1);
+  ag::Variable alpha =
+      ag::Softmax(ag::Reshape(alpha_head_.Forward(g), {batch_size, steps}));
   ag::Variable beta = ag::Tanh(beta_head_.Forward(h));  // [B, T, m]
   // context = sum_t alpha_t * beta_t ⊙ v_t.
   ag::Variable gated = ag::Mul(beta, v);                // [B, T, m]

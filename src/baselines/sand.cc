@@ -125,7 +125,7 @@ ag::Variable Sand::EncodeTerminal(const data::Batch& batch,
     ag::Variable scores = ag::MulScalar(
         ag::MatMul(q, ag::TransposeLast2(k)), scale);  // [B, T, T]
     scores = ag::Add(scores, ag::Constant(constants->causal_mask));
-    ag::Variable attention = ag::Softmax(scores, /*axis=*/-1);
+    ag::Variable attention = ag::Softmax(scores);
     ag::Variable attended = block.wo->Forward(ag::MatMul(attention, v));
     attended = ag::Dropout(attended, config_.dropout, dropout_on, dropout_rng);
     h = block.norm1->Forward(ag::Add(h, attended));  // residual + norm

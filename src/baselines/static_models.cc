@@ -111,7 +111,7 @@ ag::Variable AttentionalFactorizationMachine::Readout(
       ag::Reshape(ag::MatMul(hidden, attn_h_), {batch_size, c * c});
   scores = ag::Add(scores,
                    ag::Constant(pair_mask_.Reshape({c * c})));
-  ag::Variable alpha = ag::Softmax(scores, /*axis=*/1);  // [B, C*C]
+  ag::Variable alpha = ag::Softmax(scores);  // [B, C*C]
   // Attended interaction vector: [B, 1, C*C] x [B, C*C, k] -> [B, k].
   ag::Variable attended = ag::Reshape(
       ag::MatMul(ag::Reshape(alpha, {batch_size, 1, c * c}),

@@ -1,13 +1,28 @@
 #include "core/elda.h"
 
-#include <fstream>
-#include <sstream>
+#include <cmath>
+#include <cstdint>
 
+#include "health/ckpt_io.h"
 #include "nn/serialize.h"
 #include "tensor/tensor_ops.h"
+#include "util/byte_codec.h"
 
 namespace elda {
 namespace core {
+namespace {
+
+// The deployment file: a sectioned container (health/ckpt_io.h) with the
+// net's parameter blob under "params" (so nn::LoadParameters reads it too)
+// and, under "deployment":
+//   u8 task (0 mortality, 1 LOS > 7 days) | i64 num_steps |
+//   u8 clean_negative | u32 features |
+//   per feature: u32 name_len | name | f32 mean | f32 stddev
+constexpr char kParamsSection[] = "params";
+constexpr char kDeploymentSection[] = "deployment";
+constexpr size_t kMaxFeatureNameLength = 256;
+
+}  // namespace
 
 Elda::Elda(const EldaConfig& config) : config_(config) {
   net_ = std::make_unique<EldaNet>(config_.net);
@@ -66,60 +81,73 @@ std::vector<bool> Elda::TriggerAlerts(
 }
 
 bool Elda::Save(const std::string& path, std::string* error) const {
-  if (!fitted_) {
-    if (error != nullptr) *error = "cannot save an unfitted framework";
-    return false;
-  }
-  if (!nn::SaveParameters(*net_, path, error)) return false;
-  std::ofstream meta(path + ".meta", std::ios::trunc);
-  if (!meta) {
-    if (error != nullptr) *error = "cannot write " + path + ".meta";
-    return false;
-  }
-  meta << "task " << (task_ == data::Task::kMortality ? "mortality" : "los")
-       << "\n";
-  meta << "num_steps " << num_steps_ << "\n";
-  meta << "clean_negative " << (standardizer_.clean_negative() ? 1 : 0)
-       << "\n";
-  meta << "features " << feature_names_.size() << "\n";
+  if (!fitted_) return util::Fail(error, "cannot save an unfitted framework");
+  util::ByteWriter deployment;
+  deployment.Put(static_cast<uint8_t>(task_ == data::Task::kMortality ? 0 : 1));
+  deployment.Put(num_steps_);
+  deployment.Put(static_cast<uint8_t>(standardizer_.clean_negative()));
+  deployment.Put(static_cast<uint32_t>(feature_names_.size()));
   for (size_t c = 0; c < feature_names_.size(); ++c) {
-    meta << feature_names_[c] << " " << standardizer_.mean(c) << " "
-         << standardizer_.stddev(c) << "\n";
+    deployment.PutString<uint32_t>(feature_names_[c]);
+    deployment.Put(standardizer_.mean(c));
+    deployment.Put(standardizer_.stddev(c));
   }
-  return static_cast<bool>(meta);
+  return health::WriteSectionedFile(
+      path,
+      {{kParamsSection, nn::EncodeParameters(*net_)},
+       {kDeploymentSection, deployment.Take()}},
+      error);
 }
 
 bool Elda::Load(const std::string& path, std::string* error) {
-  if (!nn::LoadParameters(net_.get(), path, error)) return false;
-  std::ifstream meta(path + ".meta");
-  if (!meta) {
-    if (error != nullptr) *error = "cannot read " + path + ".meta";
-    return false;
+  using util::Fail;
+  std::vector<health::Section> sections;
+  if (!health::ReadSectionedFile(path, &sections, error)) return false;
+  const health::Section* params = health::FindSection(sections, kParamsSection);
+  const health::Section* deployment =
+      health::FindSection(sections, kDeploymentSection);
+  if (params == nullptr || deployment == nullptr) {
+    return Fail(error, path + " is not an ELDA deployment file");
   }
-  std::string key, task_name;
+  // Everything is checked before the net or the standardiser changes.
+  util::ByteReader reader(deployment->payload);
+  uint8_t task = 0, clean_negative = 0;
   int64_t num_steps = 0;
-  int clean_negative = 1;
-  size_t num_features = 0;
-  meta >> key >> task_name >> key >> num_steps >> key >> clean_negative >>
-      key >> num_features;
-  if (!meta || num_features == 0) {
-    if (error != nullptr) *error = "corrupt metadata in " + path + ".meta";
-    return false;
+  uint32_t features = 0;
+  if (!reader.Get(&task) || !reader.Get(&num_steps) ||
+      !reader.Get(&clean_negative) || !reader.Get(&features)) {
+    return Fail(error, "truncated deployment header in " + path);
   }
-  std::vector<std::string> names(num_features);
-  std::vector<float> means(num_features), stds(num_features);
-  for (size_t c = 0; c < num_features; ++c) {
-    meta >> names[c] >> means[c] >> stds[c];
+  if (task > 1 || clean_negative > 1 || num_steps <= 0) {
+    return Fail(error, "corrupt deployment header in " + path);
   }
-  if (!meta) {
-    if (error != nullptr) *error = "truncated metadata in " + path + ".meta";
-    return false;
+  if (features != config_.net.num_features) {
+    return Fail(error, path + " holds " + std::to_string(features) +
+                           " features, the network takes " +
+                           std::to_string(config_.net.num_features));
   }
-  task_ = task_name == "mortality" ? data::Task::kMortality
-                                   : data::Task::kLosGt7;
+  std::vector<std::string> names(features);
+  std::vector<float> means(features), stddevs(features);
+  for (uint32_t c = 0; c < features; ++c) {
+    if (!reader.GetString<uint32_t>(&names[c], kMaxFeatureNameLength) ||
+        !reader.Get(&means[c]) || !reader.Get(&stddevs[c])) {
+      return Fail(error, "corrupt feature " + std::to_string(c) + " in " +
+                             path);
+    }
+    if (!std::isfinite(means[c]) || !std::isfinite(stddevs[c]) ||
+        !(stddevs[c] > 0.0f)) {
+      return Fail(error, "feature " + names[c] + " in " + path +
+                             " needs a finite mean and stddev > 0");
+    }
+  }
+  if (!reader.AtEnd()) {
+    return Fail(error, "trailing bytes in the deployment of " + path);
+  }
+  if (!nn::DecodeParameters(net_.get(), params->payload, error)) return false;
+  task_ = task == 0 ? data::Task::kMortality : data::Task::kLosGt7;
   num_steps_ = num_steps;
   feature_names_ = std::move(names);
-  standardizer_.Restore(std::move(means), std::move(stds),
+  standardizer_.Restore(std::move(means), std::move(stddevs),
                         clean_negative != 0);
   fitted_ = true;
   return true;

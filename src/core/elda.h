@@ -52,9 +52,14 @@ class Elda {
       const std::vector<data::EmrSample>& samples);
 
   // Persists the fitted deployment (network weights + standardisation
-  // statistics + task/feature metadata) to `path` and `path`.meta. Load()
-  // restores onto a framework constructed with the same EldaConfig, after
-  // which PredictRisk/Interpret work without re-training.
+  // statistics + task/feature metadata) to `path`, one crash-safe
+  // sectioned file with a CRC per section. Load() restores onto a
+  // framework constructed with the same EldaConfig, after which
+  // PredictRisk/Interpret work without re-training. Load() returns false
+  // with a message in `error`, leaving the framework unchanged, on an
+  // unreadable, truncated or checksum-failing file, an unknown task, a
+  // feature count other than the network's, a non-finite mean or stddev,
+  // a stddev <= 0, or a feature name over 256 bytes.
   bool Save(const std::string& path, std::string* error = nullptr) const;
   bool Load(const std::string& path, std::string* error = nullptr);
 

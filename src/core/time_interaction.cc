@@ -48,8 +48,7 @@ ag::Variable TimeInteraction::ScoreFromStates(
 
   // beta = softmax_i(w_beta . s_i + b_beta)  (Eqs. 9-10).
   ag::Variable logits = ag::Add(ag::MatMul(s, w_beta_), b_beta_);
-  ag::Variable beta =
-      ag::Softmax(ag::Reshape(logits, {batch, prev_steps}), /*axis=*/1);
+  ag::Variable beta = ag::Softmax(ag::Reshape(logits, {batch, prev_steps}));
   if (ctx != nullptr) ctx->Capture("time_attention", beta.value());
 
   // g_T = sum_i beta_i s_i  (Eq. 11), as a [B,1,P] x [B,P,H] matmul.

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 namespace elda {
 namespace simd {
@@ -273,59 +274,8 @@ void ExpNegReluGradArray(const float* g, const float* y, const float* x,
 
 void SoftmaxRow(const float* x, float* y, int64_t n) {
   if (n <= 0) return;
-#if ELDA_SIMD_AVX2
-  if (Enabled()) {
-    const int64_t full = n & ~int64_t{7};
-    const int64_t tail = n - full;
-    const __m256i tmask =
-        tail > 0 ? TailMask(tail) : _mm256_setzero_si256();
-    const __m256 tmaskf = _mm256_castsi256_ps(tmask);
-    const __m256 neg_inf = _mm256_set1_ps(-HUGE_VALF);
-    // Pass 1: lane-blocked max.
-    __m256 mv = neg_inf;
-    for (int64_t j = 0; j < full; j += 8) {
-      mv = _mm256_max_ps(mv, _mm256_loadu_ps(x + j));
-    }
-    if (tail > 0) {
-      const __m256 xt = _mm256_blendv_ps(
-          neg_inf, _mm256_maskload_ps(x + full, tmask), tmaskf);
-      mv = _mm256_max_ps(mv, xt);
-    }
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, mv);
-    const float m = FoldMax8(lanes);
-    // Pass 2: e = exp(x - m) into y, lane-blocked sum.
-    const __m256 mb = _mm256_set1_ps(m);
-    __m256 sv = _mm256_setzero_ps();
-    for (int64_t j = 0; j < full; j += 8) {
-      const __m256 ev = Exp8(_mm256_sub_ps(_mm256_loadu_ps(x + j), mb));
-      _mm256_storeu_ps(y + j, ev);
-      sv = _mm256_add_ps(sv, ev);
-    }
-    if (tail > 0) {
-      const __m256 ev =
-          Exp8(_mm256_sub_ps(_mm256_maskload_ps(x + full, tmask), mb));
-      _mm256_maskstore_ps(y + full, tmask, ev);
-      sv = _mm256_add_ps(sv, _mm256_and_ps(ev, tmaskf));
-    }
-    _mm256_store_ps(lanes, sv);
-    const float inv = 1.0f / FoldAdd8(lanes);
-    // Pass 3: scale.
-    const __m256 iv = _mm256_set1_ps(inv);
-    for (int64_t j = 0; j < full; j += 8) {
-      _mm256_storeu_ps(y + j, _mm256_mul_ps(_mm256_loadu_ps(y + j), iv));
-    }
-    if (tail > 0) {
-      _mm256_maskstore_ps(
-          y + full, tmask,
-          _mm256_mul_ps(_mm256_maskload_ps(y + full, tmask), iv));
-    }
-    return;
-  }
-#endif
-  // Scalar reference: the same 8-lane-blocked reduction, spelled out.
-  // Padding lanes (j >= n up to the next multiple of 8) contribute -inf to
-  // the max and +0.0f to the sum, exactly as the vector tail does.
+  // The 8-lane-blocked reduction, spelled out. Padding lanes (j >= n up to
+  // the next multiple of 8) contribute -inf to the max and +0.0f to the sum.
   const int64_t padded = (n + 7) & ~int64_t{7};
   float lanes[8];
   for (int64_t l = 0; l < 8; ++l) lanes[l] = -HUGE_VALF;
@@ -349,34 +299,6 @@ void SoftmaxRow(const float* x, float* y, int64_t n) {
 
 void SoftmaxGradRow(const float* g, const float* y, float* dx, int64_t n) {
   if (n <= 0) return;
-#if ELDA_SIMD_AVX2
-  if (Enabled()) {
-    const int64_t full = n & ~int64_t{7};
-    const int64_t tail = n - full;
-    __m256 sv = _mm256_setzero_ps();
-    for (int64_t j = 0; j < full; j += 8) {
-      sv = _mm256_fmadd_ps(_mm256_loadu_ps(g + j), _mm256_loadu_ps(y + j),
-                           sv);
-    }
-    if (tail > 0) {
-      // Masked loads read +0 in inactive lanes; fma then adds an exact +0,
-      // matching the scalar reference's padded-lane adds.
-      const __m256i tmask = TailMask(tail);
-      sv = _mm256_fmadd_ps(_mm256_maskload_ps(g + full, tmask),
-                           _mm256_maskload_ps(y + full, tmask), sv);
-    }
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, sv);
-    const float dot = FoldAdd8(lanes);
-    const __m256 db = _mm256_set1_ps(dot);
-    for (int64_t j = 0; j < full; j += 8) {
-      const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(g + j), db);
-      _mm256_storeu_ps(dx + j, _mm256_mul_ps(_mm256_loadu_ps(y + j), d));
-    }
-    for (int64_t j = full; j < n; ++j) dx[j] = y[j] * (g[j] - dot);
-    return;
-  }
-#endif
   const int64_t padded = (n + 7) & ~int64_t{7};
   float lanes[8];
   for (int64_t l = 0; l < 8; ++l) lanes[l] = 0.0f;
@@ -391,23 +313,14 @@ void SoftmaxGradRow(const float* g, const float* y, float* dx, int64_t n) {
 
 namespace {
 
-// One row of BiasedSoftmaxRows on the per-row path: the scalar adds, then
-// SoftmaxRow.
-void BiasedSoftmaxRow(float* s, int64_t n, float bias, int64_t col,
-                      float mask) {
-  const bool masked = col >= 0 && col < n;
-  const float m = masked ? (s[col] + bias) + mask : 0.0f;
-  for (int64_t j = 0; j < n; ++j) s[j] = (s[j] + bias) + 0.0f;
-  if (masked) s[col] = m;
-  SoftmaxRow(s, s, n);
-}
-
 #if ELDA_SIMD_AVX2
 
 // FoldMax8 / FoldAdd8 of four rows' lane vectors at once: the same pairs,
 // combined in the same operand order, so lane r of the result is bitwise
 // the fold of v[r]'s lanes. Step 1 pairs lanes (0,1) (2,3) (4,5) (6,7),
-// step 2 their results (01,23) and (45,67), step 3 the two halves.
+// step 2 their results (01,23) and (45,67), step 3 the two halves. No
+// step mixes two rows, so a block with fewer than four live rows folds
+// each live row bitwise whatever the dead entries hold.
 template <typename Op>
 inline __m128 Fold8x4(const __m256* v, Op op) {
   const auto pairs = [&](__m256 a, __m256 b) {
@@ -433,114 +346,124 @@ inline __m256 Broadcast(__m128 x, int r) {
                                   _mm256_set1_epi32(r));
 }
 
-// Four rows of BiasedSoftmaxRows. Row r's lanes see exactly SoftmaxRow's
-// AVX2 sequence on its biased row; the biased values are formed again in
-// pass 2 rather than stored in pass 1 and read back.
-void BiasedSoftmaxRows4(float* s, int64_t ld, int64_t n, const float* bias,
-                        int64_t diag, float mask) {
+// The one AVX2 softmax body: R (1..4) rows at once, row r read at
+// x + r * ldx and written at y + r * ldy (y == x runs in place). Each row
+// keeps SoftmaxRow's lane contract (lane j mod 8, ascending j, -inf / +0
+// padding, the FoldMax8 / FoldAdd8 trees), and the rows' serial folds
+// overlap. With kBiased a row's values are BiasedSoftmaxRows'
+// (x + bias[r]) + (0 or mask), formed in both passes that read them rather
+// than stored in pass 1 and read back.
+template <int R, bool kBiased>
+void SoftmaxBlock(const float* x, int64_t ldx, float* y, int64_t ldy,
+                  int64_t n, const float* bias, int64_t diag, float mask) {
   const int64_t full = n & ~int64_t{7};
   const int64_t tail = n - full;
   const __m256i tmask = tail > 0 ? TailMask(tail) : _mm256_setzero_si256();
   const __m256 tmaskf = _mm256_castsi256_ps(tmask);
   const __m256 neg_inf = _mm256_set1_ps(-HUGE_VALF);
   const __m256 zero = _mm256_setzero_ps();
-  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  float* x[4];
-  __m256 b[4], dmask[4];
-  int64_t dblock[4];  // start of the block holding the masked column, or -1
-  for (int r = 0; r < 4; ++r) {
-    x[r] = s + r * ld;
-    b[r] = _mm256_set1_ps(bias[r]);
-    const int64_t col = r + diag;
-    const bool masked = col >= 0 && col < n;
-    dblock[r] = masked ? col & ~int64_t{7} : -1;
-    // mask in the masked column's lane, +0 in the others.
-    dmask[r] = _mm256_and_ps(
-        _mm256_set1_ps(mask),
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(
-            iota, _mm256_set1_epi32(static_cast<int32_t>(col & 7)))));
+  __m256 b[R], dmask[R];
+  int64_t dblock[R];  // start of the block holding the masked column, or -1
+  if constexpr (kBiased) {
+    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for (int r = 0; r < R; ++r) {
+      b[r] = _mm256_set1_ps(bias[r]);
+      const int64_t col = r + diag;
+      dblock[r] = col >= 0 && col < n ? col & ~int64_t{7} : -1;
+      // mask in the masked column's lane, +0 in the others.
+      dmask[r] = _mm256_and_ps(
+          _mm256_set1_ps(mask),
+          _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+              iota, _mm256_set1_epi32(static_cast<int32_t>(col & 7)))));
+    }
   }
-  // (x + bias) + (0 or mask) for the block at j; `v` is x's block.
-  const auto biased = [&](int r, int64_t j, __m256 v) {
-    return _mm256_add_ps(_mm256_add_ps(v, b[r]),
-                         j == dblock[r] ? dmask[r] : zero);
+  // Row r's values in the block at j, from x's block `v`.
+  const auto value = [&](int r, int64_t j, __m256 v) {
+    if constexpr (kBiased) {
+      return _mm256_add_ps(_mm256_add_ps(v, b[r]),
+                           j == dblock[r] ? dmask[r] : zero);
+    } else {
+      return v;
+    }
+  };
+  const auto load = [&](int r, int64_t j) {
+    return value(r, j, _mm256_loadu_ps(x + r * ldx + j));
+  };
+  const auto load_tail = [&](int r) {
+    return value(r, full, _mm256_maskload_ps(x + r * ldx + full, tmask));
   };
   // Pass 1: lane-blocked max.
   __m256 mv[4] = {neg_inf, neg_inf, neg_inf, neg_inf};
   for (int64_t j = 0; j < full; j += 8) {
-    for (int r = 0; r < 4; ++r) {
-      mv[r] = _mm256_max_ps(mv[r], biased(r, j, _mm256_loadu_ps(x[r] + j)));
-    }
+    for (int r = 0; r < R; ++r) mv[r] = _mm256_max_ps(mv[r], load(r, j));
   }
   if (tail > 0) {
-    for (int r = 0; r < 4; ++r) {
-      const __m256 xt = _mm256_blendv_ps(
-          neg_inf, biased(r, full, _mm256_maskload_ps(x[r] + full, tmask)),
-          tmaskf);
-      mv[r] = _mm256_max_ps(mv[r], xt);
+    for (int r = 0; r < R; ++r) {
+      mv[r] = _mm256_max_ps(mv[r],
+                            _mm256_blendv_ps(neg_inf, load_tail(r), tmaskf));
     }
   }
   const __m128 m4 = FoldMax8x4(mv);
-  __m256 mb[4];
-  for (int r = 0; r < 4; ++r) mb[r] = Broadcast(m4, r);
-  // Pass 2: e = exp(x - m) in place, lane-blocked sum.
+  __m256 mb[R];
+  for (int r = 0; r < R; ++r) mb[r] = Broadcast(m4, r);
+  // Pass 2: e = exp(x - m) into y, lane-blocked sum.
   __m256 sv[4] = {zero, zero, zero, zero};
   for (int64_t j = 0; j < full; j += 8) {
-    for (int r = 0; r < 4; ++r) {
-      const __m256 ev = Exp8(_mm256_sub_ps(
-          biased(r, j, _mm256_loadu_ps(x[r] + j)), mb[r]));
-      _mm256_storeu_ps(x[r] + j, ev);
+    for (int r = 0; r < R; ++r) {
+      const __m256 ev = Exp8(_mm256_sub_ps(load(r, j), mb[r]));
+      _mm256_storeu_ps(y + r * ldy + j, ev);
       sv[r] = _mm256_add_ps(sv[r], ev);
     }
   }
   if (tail > 0) {
-    for (int r = 0; r < 4; ++r) {
-      const __m256 ev = Exp8(_mm256_sub_ps(
-          biased(r, full, _mm256_maskload_ps(x[r] + full, tmask)), mb[r]));
-      _mm256_maskstore_ps(x[r] + full, tmask, ev);
+    for (int r = 0; r < R; ++r) {
+      const __m256 ev = Exp8(_mm256_sub_ps(load_tail(r), mb[r]));
+      _mm256_maskstore_ps(y + r * ldy + full, tmask, ev);
       sv[r] = _mm256_add_ps(sv[r], _mm256_and_ps(ev, tmaskf));
     }
   }
   const __m128 inv4 = _mm_div_ps(_mm_set1_ps(1.0f), FoldAdd8x4(sv));
   // Pass 3: scale.
-  for (int r = 0; r < 4; ++r) {
+  for (int r = 0; r < R; ++r) {
+    float* yr = y + r * ldy;
     const __m256 iv = Broadcast(inv4, r);
     for (int64_t j = 0; j < full; j += 8) {
-      _mm256_storeu_ps(x[r] + j,
-                       _mm256_mul_ps(_mm256_loadu_ps(x[r] + j), iv));
+      _mm256_storeu_ps(yr + j, _mm256_mul_ps(_mm256_loadu_ps(yr + j), iv));
     }
     if (tail > 0) {
       _mm256_maskstore_ps(
-          x[r] + full, tmask,
-          _mm256_mul_ps(_mm256_maskload_ps(x[r] + full, tmask), iv));
+          yr + full, tmask,
+          _mm256_mul_ps(_mm256_maskload_ps(yr + full, tmask), iv));
     }
   }
 }
 
-// Four rows of SoftmaxGradRows, each SoftmaxGradRow's AVX2 sequence.
-void SoftmaxGradRows4(const float* g, const float* y, int64_t ld, float* dx,
+// The one AVX2 softmax-backward body: R (1..4) rows of SoftmaxGradRow at
+// once under its lane contract. Masked loads read +0 in inactive lanes,
+// so the tail's fma adds the exact +0 of the reference's padded lanes.
+template <int R>
+void SoftmaxGradBlock(const float* g, const float* y, int64_t ld, float* dx,
                       int64_t ldx, int64_t n) {
   const int64_t full = n & ~int64_t{7};
   const int64_t tail = n - full;
   const __m256i tmask = tail > 0 ? TailMask(tail) : _mm256_setzero_si256();
-  __m256 sv[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
-                  _mm256_setzero_ps(), _mm256_setzero_ps()};
+  const __m256 zero = _mm256_setzero_ps();
+  __m256 sv[4] = {zero, zero, zero, zero};
   for (int64_t j = 0; j < full; j += 8) {
-    for (int r = 0; r < 4; ++r) {
+    for (int r = 0; r < R; ++r) {
       sv[r] = _mm256_fmadd_ps(_mm256_loadu_ps(g + r * ld + j),
                               _mm256_loadu_ps(y + r * ld + j), sv[r]);
     }
   }
   if (tail > 0) {
-    // Masked loads read +0 in inactive lanes, as in SoftmaxGradRow.
-    for (int r = 0; r < 4; ++r) {
+    for (int r = 0; r < R; ++r) {
       sv[r] = _mm256_fmadd_ps(_mm256_maskload_ps(g + r * ld + full, tmask),
                               _mm256_maskload_ps(y + r * ld + full, tmask),
                               sv[r]);
     }
   }
   const __m128 dot4 = FoldAdd8x4(sv);
-  for (int r = 0; r < 4; ++r) {
+  for (int r = 0; r < R; ++r) {
     const float* gr = g + r * ld;
     const float* yr = y + r * ld;
     float* dr = dx + r * ldx;
@@ -559,38 +482,82 @@ void SoftmaxGradRows4(const float* g, const float* y, int64_t ld, float* dx,
   }
 }
 
+// block(R, r) over `rows` rows: four-row blocks from r = 0, then one block
+// of the 1-3 rows left over, as std::integral_constant<int, R>.
+template <typename Block>
+void ForRowBlocks(int64_t rows, const Block& block) {
+  int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) block(std::integral_constant<int, 4>(), r);
+  switch (rows - r) {
+    case 3:
+      block(std::integral_constant<int, 3>(), r);
+      break;
+    case 2:
+      block(std::integral_constant<int, 2>(), r);
+      break;
+    case 1:
+      block(std::integral_constant<int, 1>(), r);
+      break;
+    default:
+      break;
+  }
+}
+
 #endif  // ELDA_SIMD_AVX2
 
 }  // namespace
 
+void SoftmaxRows(const float* x, float* y, int64_t rows, int64_t n) {
+  if (n <= 0) return;
+#if ELDA_SIMD_AVX2
+  if (Enabled()) {
+    ForRowBlocks(rows, [&](auto R, int64_t r) {
+      SoftmaxBlock<R, false>(x + r * n, n, y + r * n, n, n, nullptr, 0, 0.0f);
+    });
+    return;
+  }
+#endif
+  for (int64_t r = 0; r < rows; ++r) SoftmaxRow(x + r * n, y + r * n, n);
+}
+
 void BiasedSoftmaxRows(float* s, int64_t ld, int64_t rows, int64_t n,
                        const float* bias, int64_t diag, float mask) {
   if (n <= 0) return;
-  int64_t r = 0;
 #if ELDA_SIMD_AVX2
   if (Enabled()) {
-    for (; r + 4 <= rows; r += 4) {
-      BiasedSoftmaxRows4(s + r * ld, ld, n, bias + r, r + diag, mask);
-    }
+    ForRowBlocks(rows, [&](auto R, int64_t r) {
+      SoftmaxBlock<R, true>(s + r * ld, ld, s + r * ld, ld, n, bias + r,
+                            r + diag, mask);
+    });
+    return;
   }
 #endif
-  for (; r < rows; ++r) {
-    BiasedSoftmaxRow(s + r * ld, n, bias[r], r + diag, mask);
+  // The composed graph's two adds, then SoftmaxRow.
+  for (int64_t r = 0; r < rows; ++r) {
+    float* row = s + r * ld;
+    const int64_t col = r + diag;
+    const bool masked = col >= 0 && col < n;
+    const float m = masked ? (row[col] + bias[r]) + mask : 0.0f;
+    for (int64_t j = 0; j < n; ++j) row[j] = (row[j] + bias[r]) + 0.0f;
+    if (masked) row[col] = m;
+    SoftmaxRow(row, row, n);
   }
 }
 
 void SoftmaxGradRows(const float* g, const float* y, int64_t ld, float* dx,
                      int64_t ldx, int64_t rows, int64_t n) {
   if (n <= 0) return;
-  int64_t r = 0;
 #if ELDA_SIMD_AVX2
   if (Enabled()) {
-    for (; r + 4 <= rows; r += 4) {
-      SoftmaxGradRows4(g + r * ld, y + r * ld, ld, dx + r * ldx, ldx, n);
-    }
+    ForRowBlocks(rows, [&](auto R, int64_t r) {
+      SoftmaxGradBlock<R>(g + r * ld, y + r * ld, ld, dx + r * ldx, ldx, n);
+    });
+    return;
   }
 #endif
-  for (; r < rows; ++r) SoftmaxGradRow(g + r * ld, y + r * ld, dx + r * ldx, n);
+  for (int64_t r = 0; r < rows; ++r) {
+    SoftmaxGradRow(g + r * ld, y + r * ld, dx + r * ldx, n);
+  }
 }
 
 }  // namespace simd

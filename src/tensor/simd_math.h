@@ -3,8 +3,8 @@
 // This is the elementwise twin of the GEMM contract in tensor_ops.h: every
 // transcendental the kernels evaluate (exp, sigmoid, tanh, row softmax) has
 // one executable scalar definition — ExpRef / SigmoidRef / TanhRef /
-// SoftmaxRow's scalar body — and the production AVX2 paths run *exactly the
-// same IEEE-754 operation sequence* eight lanes at a time. Every individual
+// SoftmaxRow / SoftmaxGradRow — and the production AVX2 paths run *exactly
+// the same IEEE-754 operation sequence* eight lanes at a time. Every individual
 // step (add, sub, mul, div, fma, min/max select, blend, int<->float
 // conversion) is correctly rounded and therefore lane-for-lane identical to
 // its scalar counterpart, so the vector kernels are bitwise equal to the
@@ -171,10 +171,10 @@ void ExpNegReluGradArray(const float* g, const float* y, const float* x,
 // reduction contract: the row is conceptually padded to a multiple of 8
 // (padding contributes -inf to the max pass and +0.0f to the sum passes),
 // element j accumulates into lane j mod 8, and the 8 lane partials are
-// folded with the fixed tree ((l0?l1)?(l2?l3)) ? ((l4?l5)?(l6?l7)). The
-// scalar reference implements exactly this lane structure, so the AVX2 path
-// (whose register lanes *are* the contract's lanes) matches it bitwise.
-// In-place operation (y == x) is allowed.
+// folded with the fixed tree ((l0?l1)?(l2?l3)) ? ((l4?l5)?(l6?l7)).
+// SoftmaxRow and SoftmaxGradRow are that contract's scalar reference: they
+// always run scalar, and are what ELDA_SIMD=off runs and what the tests
+// check the rows kernels against. In-place operation (y == x) is allowed.
 void SoftmaxRow(const float* x, float* y, int64_t n);
 
 // Fused softmax backward for one row: dx = y * (g - dot(g, y)), with the
@@ -182,27 +182,32 @@ void SoftmaxRow(const float* x, float* y, int64_t n);
 // fma, fixed fold tree).
 void SoftmaxGradRow(const float* g, const float* y, float* dx, int64_t n);
 
+// The rows kernels. Each runs one AVX2 body per direction over blocks of
+// four rows, then one block of the 1-3 rows left over; every row keeps
+// the reference's lane contract (lane j mod 8, ascending j, -inf / +0
+// padding, the same fold trees) while the block's serial folds overlap.
+// Every row is bitwise the reference's, with one exception, as for
+// ExpNegReluGrad: the sign bit of a NaN output. When a row holds NaNs of
+// both signs (a NaN input beside a +inf, whose inf - inf is a negative
+// NaN), which one propagates depends on the operand order of each add and
+// multiply, and the compiler may commute those in any body; NaN-ness and
+// every non-NaN output are bitwise.
+
+// SoftmaxRow over `rows` contiguous rows of n: x row r at x + r * n, y row
+// r at y + r * n (y == x runs in place).
+void SoftmaxRows(const float* x, float* y, int64_t rows, int64_t n);
+
 // The feature-interaction tile's score rows, in place: row r (0 <= r <
 // rows, n elements at s + r * ld) becomes SoftmaxRow of
 // (s[r][j] + bias[r]) + 0.0f, except its masked column j = r + diag, which
 // gets (s[r][j] + bias[r]) + mask (none when that column is outside
-// [0, n)). Every row is bitwise the scalar adds followed by SoftmaxRow:
-// the AVX2 path runs four rows at once, each keeping SoftmaxRow's lane
-// contract (lane j mod 8, ascending j, -inf / +0 padding, the same fold
-// trees), so their serial folds overlap and the biased scores are never
-// stored and reloaded. Left-over rows and the scalar dispatch take the
-// per-row path. One exception, as for ExpNegReluGrad: the sign bit of a NaN
-// output. When a row holds NaNs of both signs (a NaN input beside a +inf,
-// whose inf - inf is a negative NaN), which one propagates depends on the
-// operand order of each add and multiply, and the compiler may commute
-// those in any body; NaN-ness and every non-NaN output are bitwise.
+// [0, n)). The vector body forms the biased scores in both passes that
+// read them, so they are never stored and reloaded.
 void BiasedSoftmaxRows(float* s, int64_t ld, int64_t rows, int64_t n,
                        const float* bias, int64_t diag, float mask);
 
 // SoftmaxGradRow over `rows` rows: g and y row r at g + r * ld and
-// y + r * ld, dx row r at dx + r * ldx. Bitwise SoftmaxGradRow per row, up
-// to the sign bit of a NaN output as above; the AVX2 path runs four rows at
-// once under the same lane contract.
+// y + r * ld, dx row r at dx + r * ldx.
 void SoftmaxGradRows(const float* g, const float* y, int64_t ld, float* dx,
                      int64_t ldx, int64_t rows, int64_t n);
 

@@ -831,6 +831,18 @@ Tensor FusedBinarySameShape(const Tensor& a, const Tensor& b) {
                    });
   return out;
 }
+
+// f(r0, r1) over `rows` rows of n, split across threads in whole four-row
+// blocks: each row meets the simd rows kernels at the same block position
+// for any thread count, so not even their documented NaN-sign latitude
+// depends on the partition.
+template <typename F>
+void ForRowQuads(int64_t rows, int64_t n, const F& f) {
+  const int64_t grain = std::max<int64_t>(1, par::kElementGrain / (4 * n));
+  par::ParallelFor(0, (rows + 3) / 4, grain, [&](int64_t q0, int64_t q1) {
+    f(4 * q0, std::min(4 * q1, rows));
+  });
+}
 }  // namespace
 
 Tensor AddSigmoid(const Tensor& a, const Tensor& b) {
@@ -911,17 +923,13 @@ Tensor SoftmaxLastAxisGrad(const Tensor& g, const Tensor& y) {
   const int64_t n = y.shape(-1);
   ELDA_CHECK_GT(n, 0);
   prof::RecordFusion(3, 3 * g.size() * kFloatBytes);
-  const int64_t rows = y.size() / n;
   Tensor out = Tensor::Empty(g.shape());
   const float* pg = g.data();
   const float* py = y.data();
   float* po = out.data();
-  const int64_t grain =
-      std::max<int64_t>(1, par::kElementGrain / std::max<int64_t>(1, n));
-  par::ParallelFor(0, rows, grain, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      simd::SoftmaxGradRow(pg + r * n, py + r * n, po + r * n, n);
-    }
+  ForRowQuads(y.size() / n, n, [&](int64_t r0, int64_t r1) {
+    simd::SoftmaxGradRows(pg + r0 * n, py + r0 * n, n, po + r0 * n, n,
+                          r1 - r0, n);
   });
   return out;
 }
@@ -1238,6 +1246,122 @@ Tensor StackRows(const std::vector<Tensor>& parts) {
   return out;
 }
 
+namespace {
+
+// One batch row of GruGates: gate activations r, z, n and h_t over the H
+// hidden units, with r, z, n stored to `cap` rows when kCapture. Same float
+// expressions, in the same order, as the composed
+// Slice/Add/Sigmoid/Mul/Tanh/Sub kernels; the 8-lane body runs the same
+// transcendental contract as the scalar tail (Sigmoid8/Tanh8 mirror
+// SigmoidRef/TanhRef bitwise), so vector, tail and scalar-dispatch elements
+// agree bit for bit.
+template <bool kCapture>
+void GruGatesRow(const float* xr, const float* ur, const float* hp,
+                 int64_t hidden, bool vec, float* out, float* const* cap) {
+  int64_t k = 0;
+#if ELDA_SIMD_AVX2
+  if (vec) {
+    const __m256 one = _mm256_set1_ps(1.0f);
+    for (; k + 8 <= hidden; k += 8) {
+      const __m256 r = simd::Sigmoid8(
+          _mm256_add_ps(_mm256_loadu_ps(xr + k), _mm256_loadu_ps(ur + k)));
+      const __m256 z = simd::Sigmoid8(
+          _mm256_add_ps(_mm256_loadu_ps(xr + hidden + k),
+                        _mm256_loadu_ps(ur + hidden + k)));
+      const __m256 n = simd::Tanh8(_mm256_add_ps(
+          _mm256_loadu_ps(xr + 2 * hidden + k),
+          _mm256_mul_ps(r, _mm256_loadu_ps(ur + 2 * hidden + k))));
+      const __m256 h_next =
+          _mm256_add_ps(_mm256_mul_ps(_mm256_sub_ps(one, z), n),
+                        _mm256_mul_ps(z, _mm256_loadu_ps(hp + k)));
+      _mm256_storeu_ps(out + k, h_next);
+      if constexpr (kCapture) {
+        _mm256_storeu_ps(cap[0] + k, r);
+        _mm256_storeu_ps(cap[1] + k, z);
+        _mm256_storeu_ps(cap[2] + k, n);
+      }
+    }
+  }
+#else
+  (void)vec;
+#endif
+  for (; k < hidden; ++k) {
+    const float r = SigmoidScalar(xr[k] + ur[k]);
+    const float z = SigmoidScalar(xr[hidden + k] + ur[hidden + k]);
+    const float n = TanhScalar(xr[2 * hidden + k] + (r * ur[2 * hidden + k]));
+    out[k] = ((1.0f - z) * n) + (z * hp[k]);
+    if constexpr (kCapture) {
+      cap[0][k] = r;
+      cap[1][k] = z;
+      cap[2][k] = n;
+    }
+  }
+}
+
+// One batch row of LstmGates: gates i, f, g, o, c_t and h_t, with i, f, g,
+// o and tanh(c_t) stored to `cap` rows when kCapture. Gate pre-activations
+// exactly as Add(Add(xw, hu), bias); the 8-lane body mirrors the scalar
+// expressions op for op (see GruGatesRow).
+template <bool kCapture>
+void LstmGatesRow(const float* xr, const float* ur, const float* pb,
+                  const float* cp, int64_t hidden, bool vec, float* hr,
+                  float* cr, float* const* cap) {
+  int64_t k = 0;
+#if ELDA_SIMD_AVX2
+  if (vec) {
+    const auto pre = [&](int gate) {
+      const int64_t at = gate * hidden + k;
+      return _mm256_add_ps(
+          _mm256_add_ps(_mm256_loadu_ps(xr + at), _mm256_loadu_ps(ur + at)),
+          _mm256_loadu_ps(pb + at));
+    };
+    for (; k + 8 <= hidden; k += 8) {
+      const __m256 i_g = simd::Sigmoid8(pre(0));
+      const __m256 f_g = simd::Sigmoid8(pre(1));
+      const __m256 g_g = simd::Tanh8(pre(2));
+      const __m256 o_g = simd::Sigmoid8(pre(3));
+      const __m256 c_new =
+          _mm256_add_ps(_mm256_mul_ps(f_g, _mm256_loadu_ps(cp + k)),
+                        _mm256_mul_ps(i_g, g_g));
+      const __m256 tc = simd::Tanh8(c_new);
+      _mm256_storeu_ps(hr + k, _mm256_mul_ps(o_g, tc));
+      _mm256_storeu_ps(cr + k, c_new);
+      if constexpr (kCapture) {
+        _mm256_storeu_ps(cap[0] + k, i_g);
+        _mm256_storeu_ps(cap[1] + k, f_g);
+        _mm256_storeu_ps(cap[2] + k, g_g);
+        _mm256_storeu_ps(cap[3] + k, o_g);
+        _mm256_storeu_ps(cap[4] + k, tc);
+      }
+    }
+  }
+#else
+  (void)vec;
+#endif
+  for (; k < hidden; ++k) {
+    const float i = SigmoidScalar((xr[k] + ur[k]) + pb[k]);
+    const float f =
+        SigmoidScalar((xr[hidden + k] + ur[hidden + k]) + pb[hidden + k]);
+    const float g = TanhScalar((xr[2 * hidden + k] + ur[2 * hidden + k]) +
+                               pb[2 * hidden + k]);
+    const float o = SigmoidScalar((xr[3 * hidden + k] + ur[3 * hidden + k]) +
+                                  pb[3 * hidden + k]);
+    const float c_new = (f * cp[k]) + (i * g);
+    const float tc = TanhScalar(c_new);
+    hr[k] = o * tc;
+    cr[k] = c_new;
+    if constexpr (kCapture) {
+      cap[0][k] = i;
+      cap[1][k] = f;
+      cap[2][k] = g;
+      cap[3][k] = o;
+      cap[4][k] = tc;
+    }
+  }
+}
+
+}  // namespace
+
 Tensor GruGates(const Tensor& xw, const Tensor& hu, const Tensor& h,
                 Tensor* r_out, Tensor* z_out, Tensor* n_out) {
   ELDA_PROF_SCOPE("GruGates");
@@ -1248,30 +1372,22 @@ Tensor GruGates(const Tensor& xw, const Tensor& hu, const Tensor& h,
   ELDA_CHECK(hu.shape() == xw.shape());
   ELDA_CHECK(h.shape() == (std::vector<int64_t>{batch, hidden}));
   Tensor h_new = Tensor::Empty({batch, hidden});
+  Tensor* const captures[3] = {r_out, z_out, n_out};
   const bool capture = r_out != nullptr;
+  float* cap[3] = {};
   if (capture) {
-    *r_out = Tensor::Empty({batch, hidden});
-    *z_out = Tensor::Empty({batch, hidden});
-    *n_out = Tensor::Empty({batch, hidden});
+    for (int q = 0; q < 3; ++q) {
+      *captures[q] = Tensor::Empty({batch, hidden});
+      cap[q] = captures[q]->data();
+    }
   }
   const float* pxw = xw.data();
   const float* phu = hu.data();
   const float* ph = h.data();
   float* po = h_new.data();
-  float* pr = capture ? r_out->data() : nullptr;
-  float* pz = capture ? z_out->data() : nullptr;
-  float* pn = capture ? n_out->data() : nullptr;
-  // Row-major loops: per-row pointer hoisting and the capture branch lifted
-  // out of the inner loop. Same float expressions, in the same order, as
-  // the composed Slice/Add/Sigmoid/Mul/Tanh/Sub kernels. The 8-lane AVX2
-  // body runs the same transcendental contract as the scalar tail
-  // (Sigmoid8/Tanh8 mirror SigmoidRef/TanhRef bitwise), so vector, tail,
-  // and scalar-dispatch elements all agree bit-for-bit.
   prof::RecordFusion(10, 10 * batch * hidden *
                              static_cast<int64_t>(sizeof(float)));
-#if ELDA_SIMD_AVX2
   const bool vec = simd::Enabled();
-#endif
   const int64_t row_grain =
       std::max<int64_t>(1, par::kElementGrain / (3 * hidden));
   par::ParallelFor(0, batch, row_grain, [&](int64_t b0, int64_t b1) {
@@ -1280,70 +1396,12 @@ Tensor GruGates(const Tensor& xw, const Tensor& hu, const Tensor& h,
       const float* ur = phu + b * 3 * hidden;
       const float* hp = ph + b * hidden;
       float* out = po + b * hidden;
-      int64_t k = 0;
-      if (pr != nullptr) {
-        float* rr = pr + b * hidden;
-        float* zr = pz + b * hidden;
-        float* nr = pn + b * hidden;
-#if ELDA_SIMD_AVX2
-        if (vec) {
-          const __m256 one = _mm256_set1_ps(1.0f);
-          for (; k + 8 <= hidden; k += 8) {
-            const __m256 r = simd::Sigmoid8(_mm256_add_ps(
-                _mm256_loadu_ps(xr + k), _mm256_loadu_ps(ur + k)));
-            const __m256 z = simd::Sigmoid8(
-                _mm256_add_ps(_mm256_loadu_ps(xr + hidden + k),
-                              _mm256_loadu_ps(ur + hidden + k)));
-            const __m256 n = simd::Tanh8(_mm256_add_ps(
-                _mm256_loadu_ps(xr + 2 * hidden + k),
-                _mm256_mul_ps(r, _mm256_loadu_ps(ur + 2 * hidden + k))));
-            const __m256 h_next =
-                _mm256_add_ps(_mm256_mul_ps(_mm256_sub_ps(one, z), n),
-                              _mm256_mul_ps(z, _mm256_loadu_ps(hp + k)));
-            _mm256_storeu_ps(out + k, h_next);
-            _mm256_storeu_ps(rr + k, r);
-            _mm256_storeu_ps(zr + k, z);
-            _mm256_storeu_ps(nr + k, n);
-          }
-        }
-#endif
-        for (; k < hidden; ++k) {
-          const float r = SigmoidScalar(xr[k] + ur[k]);
-          const float z = SigmoidScalar(xr[hidden + k] + ur[hidden + k]);
-          const float n =
-              TanhScalar(xr[2 * hidden + k] + (r * ur[2 * hidden + k]));
-          out[k] = ((1.0f - z) * n) + (z * hp[k]);
-          rr[k] = r;
-          zr[k] = z;
-          nr[k] = n;
-        }
+      if (capture) {
+        float* const rows[3] = {cap[0] + b * hidden, cap[1] + b * hidden,
+                                cap[2] + b * hidden};
+        GruGatesRow<true>(xr, ur, hp, hidden, vec, out, rows);
       } else {
-#if ELDA_SIMD_AVX2
-        if (vec) {
-          const __m256 one = _mm256_set1_ps(1.0f);
-          for (; k + 8 <= hidden; k += 8) {
-            const __m256 r = simd::Sigmoid8(_mm256_add_ps(
-                _mm256_loadu_ps(xr + k), _mm256_loadu_ps(ur + k)));
-            const __m256 z = simd::Sigmoid8(
-                _mm256_add_ps(_mm256_loadu_ps(xr + hidden + k),
-                              _mm256_loadu_ps(ur + hidden + k)));
-            const __m256 n = simd::Tanh8(_mm256_add_ps(
-                _mm256_loadu_ps(xr + 2 * hidden + k),
-                _mm256_mul_ps(r, _mm256_loadu_ps(ur + 2 * hidden + k))));
-            const __m256 h_next =
-                _mm256_add_ps(_mm256_mul_ps(_mm256_sub_ps(one, z), n),
-                              _mm256_mul_ps(z, _mm256_loadu_ps(hp + k)));
-            _mm256_storeu_ps(out + k, h_next);
-          }
-        }
-#endif
-        for (; k < hidden; ++k) {
-          const float r = SigmoidScalar(xr[k] + ur[k]);
-          const float z = SigmoidScalar(xr[hidden + k] + ur[hidden + k]);
-          const float n =
-              TanhScalar(xr[2 * hidden + k] + (r * ur[2 * hidden + k]));
-          out[k] = ((1.0f - z) * n) + (z * hp[k]);
-        }
+        GruGatesRow<false>(xr, ur, hp, hidden, vec, out, nullptr);
       }
     }
   });
@@ -1362,13 +1420,14 @@ Tensor LstmGates(const Tensor& xw, const Tensor& hu, const Tensor& bias,
   ELDA_CHECK_EQ(bias.size(), 4 * hidden);
   ELDA_CHECK(c.shape() == (std::vector<int64_t>{batch, hidden}));
   Tensor packed = Tensor::Empty({2, batch, hidden});
+  Tensor* const captures[5] = {i_out, f_out, g_out, o_out, tc_out};
   const bool capture = i_out != nullptr;
+  float* cap[5] = {};
   if (capture) {
-    *i_out = Tensor::Empty({batch, hidden});
-    *f_out = Tensor::Empty({batch, hidden});
-    *g_out = Tensor::Empty({batch, hidden});
-    *o_out = Tensor::Empty({batch, hidden});
-    *tc_out = Tensor::Empty({batch, hidden});
+    for (int q = 0; q < 5; ++q) {
+      *captures[q] = Tensor::Empty({batch, hidden});
+      cap[q] = captures[q]->data();
+    }
   }
   const float* pxw = xw.data();
   const float* phu = hu.data();
@@ -1376,19 +1435,9 @@ Tensor LstmGates(const Tensor& xw, const Tensor& hu, const Tensor& bias,
   const float* pc = c.data();
   float* ph_new = packed.data();
   float* pc_new = packed.data() + batch * hidden;
-  float* pi = capture ? i_out->data() : nullptr;
-  float* pf = capture ? f_out->data() : nullptr;
-  float* pg = capture ? g_out->data() : nullptr;
-  float* po = capture ? o_out->data() : nullptr;
-  float* ptc = capture ? tc_out->data() : nullptr;
-  // Row-major loops with the capture branch lifted out of the inner loop;
-  // gate pre-activations exactly as Add(Add(xw, hu), bias). The 8-lane AVX2
-  // body mirrors the scalar expressions op for op (see GruGates).
   prof::RecordFusion(16, 16 * batch * hidden *
                              static_cast<int64_t>(sizeof(float)));
-#if ELDA_SIMD_AVX2
   const bool vec = simd::Enabled();
-#endif
   const int64_t row_grain =
       std::max<int64_t>(1, par::kElementGrain / (4 * hidden));
   par::ParallelFor(0, batch, row_grain, [&](int64_t b0, int64_t b1) {
@@ -1398,101 +1447,12 @@ Tensor LstmGates(const Tensor& xw, const Tensor& hu, const Tensor& bias,
       const float* cp = pc + b * hidden;
       float* hr = ph_new + b * hidden;
       float* cr = pc_new + b * hidden;
-      int64_t k = 0;
-      if (pi != nullptr) {
-#if ELDA_SIMD_AVX2
-        if (vec) {
-          for (; k + 8 <= hidden; k += 8) {
-            const __m256 i_g = simd::Sigmoid8(_mm256_add_ps(
-                _mm256_add_ps(_mm256_loadu_ps(xr + k),
-                              _mm256_loadu_ps(ur + k)),
-                _mm256_loadu_ps(pb + k)));
-            const __m256 f_g = simd::Sigmoid8(_mm256_add_ps(
-                _mm256_add_ps(_mm256_loadu_ps(xr + hidden + k),
-                              _mm256_loadu_ps(ur + hidden + k)),
-                _mm256_loadu_ps(pb + hidden + k)));
-            const __m256 g_g = simd::Tanh8(_mm256_add_ps(
-                _mm256_add_ps(_mm256_loadu_ps(xr + 2 * hidden + k),
-                              _mm256_loadu_ps(ur + 2 * hidden + k)),
-                _mm256_loadu_ps(pb + 2 * hidden + k)));
-            const __m256 o_g = simd::Sigmoid8(_mm256_add_ps(
-                _mm256_add_ps(_mm256_loadu_ps(xr + 3 * hidden + k),
-                              _mm256_loadu_ps(ur + 3 * hidden + k)),
-                _mm256_loadu_ps(pb + 3 * hidden + k)));
-            const __m256 c_new =
-                _mm256_add_ps(_mm256_mul_ps(f_g, _mm256_loadu_ps(cp + k)),
-                              _mm256_mul_ps(i_g, g_g));
-            const __m256 tc = simd::Tanh8(c_new);
-            _mm256_storeu_ps(hr + k, _mm256_mul_ps(o_g, tc));
-            _mm256_storeu_ps(cr + k, c_new);
-            _mm256_storeu_ps(pi + b * hidden + k, i_g);
-            _mm256_storeu_ps(pf + b * hidden + k, f_g);
-            _mm256_storeu_ps(pg + b * hidden + k, g_g);
-            _mm256_storeu_ps(po + b * hidden + k, o_g);
-            _mm256_storeu_ps(ptc + b * hidden + k, tc);
-          }
-        }
-#endif
-        for (; k < hidden; ++k) {
-          const float i = SigmoidScalar((xr[k] + ur[k]) + pb[k]);
-          const float f = SigmoidScalar(
-              (xr[hidden + k] + ur[hidden + k]) + pb[hidden + k]);
-          const float g = TanhScalar(
-              (xr[2 * hidden + k] + ur[2 * hidden + k]) + pb[2 * hidden + k]);
-          const float o = SigmoidScalar(
-              (xr[3 * hidden + k] + ur[3 * hidden + k]) + pb[3 * hidden + k]);
-          const float c_new = (f * cp[k]) + (i * g);
-          const float tc = TanhScalar(c_new);
-          hr[k] = o * tc;
-          cr[k] = c_new;
-          pi[b * hidden + k] = i;
-          pf[b * hidden + k] = f;
-          pg[b * hidden + k] = g;
-          po[b * hidden + k] = o;
-          ptc[b * hidden + k] = tc;
-        }
+      if (capture) {
+        float* rows[5];
+        for (int q = 0; q < 5; ++q) rows[q] = cap[q] + b * hidden;
+        LstmGatesRow<true>(xr, ur, pb, cp, hidden, vec, hr, cr, rows);
       } else {
-#if ELDA_SIMD_AVX2
-        if (vec) {
-          for (; k + 8 <= hidden; k += 8) {
-            const __m256 i_g = simd::Sigmoid8(_mm256_add_ps(
-                _mm256_add_ps(_mm256_loadu_ps(xr + k),
-                              _mm256_loadu_ps(ur + k)),
-                _mm256_loadu_ps(pb + k)));
-            const __m256 f_g = simd::Sigmoid8(_mm256_add_ps(
-                _mm256_add_ps(_mm256_loadu_ps(xr + hidden + k),
-                              _mm256_loadu_ps(ur + hidden + k)),
-                _mm256_loadu_ps(pb + hidden + k)));
-            const __m256 g_g = simd::Tanh8(_mm256_add_ps(
-                _mm256_add_ps(_mm256_loadu_ps(xr + 2 * hidden + k),
-                              _mm256_loadu_ps(ur + 2 * hidden + k)),
-                _mm256_loadu_ps(pb + 2 * hidden + k)));
-            const __m256 o_g = simd::Sigmoid8(_mm256_add_ps(
-                _mm256_add_ps(_mm256_loadu_ps(xr + 3 * hidden + k),
-                              _mm256_loadu_ps(ur + 3 * hidden + k)),
-                _mm256_loadu_ps(pb + 3 * hidden + k)));
-            const __m256 c_new =
-                _mm256_add_ps(_mm256_mul_ps(f_g, _mm256_loadu_ps(cp + k)),
-                              _mm256_mul_ps(i_g, g_g));
-            const __m256 tc = simd::Tanh8(c_new);
-            _mm256_storeu_ps(hr + k, _mm256_mul_ps(o_g, tc));
-            _mm256_storeu_ps(cr + k, c_new);
-          }
-        }
-#endif
-        for (; k < hidden; ++k) {
-          const float i = SigmoidScalar((xr[k] + ur[k]) + pb[k]);
-          const float f = SigmoidScalar(
-              (xr[hidden + k] + ur[hidden + k]) + pb[hidden + k]);
-          const float g = TanhScalar(
-              (xr[2 * hidden + k] + ur[2 * hidden + k]) + pb[2 * hidden + k]);
-          const float o = SigmoidScalar(
-              (xr[3 * hidden + k] + ur[3 * hidden + k]) + pb[3 * hidden + k]);
-          const float c_new = (f * cp[k]) + (i * g);
-          const float tc = TanhScalar(c_new);
-          hr[k] = o * tc;
-          cr[k] = c_new;
-        }
+        LstmGatesRow<false>(xr, ur, pb, cp, hidden, vec, hr, cr, nullptr);
       }
     }
   });
@@ -1504,8 +1464,9 @@ Tensor LstmGates(const Tensor& xw, const Tensor& hu, const Tensor& bias,
 // Per (b, t) tile these kernels replay the composed chain's float sequence
 // element for element: every product is a strict-k std::fma chain from +0
 // (GemmReference), every elementwise step keeps the composed operand order,
-// and every row is bitwise SoftmaxRow's / SoftmaxGradRow's (the rows
-// bodies run four at once under the same lane contract). The products
+// and every row is SoftmaxRow's / SoftmaxGradRow's, bitwise up to a NaN's
+// sign bit (simd_math.h's rows kernels, the bodies the Softmax op runs
+// too). The products
 // keep blocks of independent chains in registers so they vectorize and
 // overlap, while each output's own chain still steps through k in ascending
 // order. Tiles share nothing, so any partition over threads is bitwise
@@ -2180,48 +2141,16 @@ Tensor Max(const Tensor& a, int64_t axis, bool keepdims) {
   return out;
 }
 
-Tensor Softmax(const Tensor& a, int64_t axis) {
+Tensor Softmax(const Tensor& a) {
   ELDA_PROF_SCOPE("Softmax");
-  axis = NormalizeAxis(axis, a.dim());
-  int64_t outer, n, inner;
-  AxisDecompose(a.shape(), axis, &outer, &n, &inner);
+  ELDA_CHECK_GE(a.dim(), 1);
+  const int64_t n = a.shape(-1);
   Tensor out = Tensor::Empty(a.shape());
+  if (n == 0) return out;
   const float* pa = a.data();
   float* po = out.data();
-  const int64_t grain =
-      std::max<int64_t>(1, par::kElementGrain / std::max<int64_t>(1, n));
-  if (inner == 1 && n > 0) {
-    // Last-axis fast path: each fiber is one contiguous row, handled by the
-    // vectorized row kernel under the 8-lane-blocked reduction contract
-    // (simd_math.h). Row partitioning across threads never changes a row's
-    // arithmetic, so results stay bitwise identical across thread counts.
-    par::ParallelFor(0, outer, grain, [&](int64_t o0, int64_t o1) {
-      for (int64_t o = o0; o < o1; ++o) {
-        simd::SoftmaxRow(pa + o * n, po + o * n, n);
-      }
-    });
-    return out;
-  }
-  // General (strided) axis: serial per-fiber max/exp/sum/scale. Lane space:
-  // softmax fibers (o, i), in the same o-major order the serial loop used;
-  // each lane's arithmetic is untouched. The exp is the same scalar
-  // reference the fast path runs through its vector lanes.
-  par::ParallelFor(0, outer * inner, grain, [&](int64_t l0, int64_t l1) {
-    for (int64_t l = l0; l < l1; ++l) {
-      const int64_t o = l / inner;
-      const int64_t i = l % inner;
-      const int64_t base = o * n * inner + i;
-      float m = pa[base];
-      for (int64_t k = 1; k < n; ++k) m = std::max(m, pa[base + k * inner]);
-      float z = 0.0f;
-      for (int64_t k = 0; k < n; ++k) {
-        const float e = simd::ExpRef(pa[base + k * inner] - m);
-        po[base + k * inner] = e;
-        z += e;
-      }
-      const float inv = 1.0f / z;
-      for (int64_t k = 0; k < n; ++k) po[base + k * inner] *= inv;
-    }
+  ForRowQuads(a.size() / n, n, [&](int64_t r0, int64_t r1) {
+    simd::SoftmaxRows(pa + r0 * n, po + r0 * n, r1 - r0, n);
   });
   return out;
 }

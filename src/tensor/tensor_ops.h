@@ -81,8 +81,9 @@ Tensor SigmoidGrad(const Tensor& g, const Tensor& y);  // g * (y * (1 - y))
 Tensor TanhGrad(const Tensor& g, const Tensor& y);     // g * (1 - y*y)
 // (-(g * y)) * (x > 0 ? 1 : 0); the negation is an exact sign flip
 Tensor ExpNegReluGrad(const Tensor& g, const Tensor& y, const Tensor& x);
-// Per last-axis row: dx = y * (g - dot(g, y)), dot under the 8-lane-blocked
-// reduction contract of simd_math.h.
+// Per last-axis row: dx = y * (g - dot(g, y)), simd::SoftmaxGradRow's
+// under the 8-lane-blocked reduction contract of simd_math.h, with
+// Softmax's NaN-sign exception and thread partition.
 Tensor SoftmaxLastAxisGrad(const Tensor& g, const Tensor& y);
 
 // -- Matrix multiplication ------------------------------------------------------
@@ -166,8 +167,9 @@ Tensor LstmGates(const Tensor& xw, const Tensor& hu, const Tensor& bias,
 // Every float equals the one the composed op chain (Mul, TransposeLast2,
 // MatMul, Add, Add, Softmax, MatMul, Mul, Concat, Relu, MatMul) produces:
 // each product is a strict-k std::fma chain as in GemmReference, the bias
-// and diagonal adds stay two separate adds, and every row is bitwise
-// simd::SoftmaxRow's (simd::BiasedSoftmaxRows runs four at once). The
+// and diagonal adds stay two separate adds, and every row is
+// simd::SoftmaxRow's, bitwise up to a NaN's sign bit (the Softmax op's
+// rows body, with the adds fused in: simd::BiasedSoftmaxRows). The
 // products keep 4-row x 48-lane blocks of those chains in registers
 // (AVX-512F; a portable loop otherwise), which only decides which chains
 // run together. `alpha_out`, when non-null, receives
@@ -240,8 +242,14 @@ Tensor Sum(const Tensor& a, int64_t axis, bool keepdims = false);
 Tensor Mean(const Tensor& a, int64_t axis, bool keepdims = false);
 Tensor Max(const Tensor& a, int64_t axis, bool keepdims = false);
 
-// Numerically stable softmax along `axis`.
-Tensor Softmax(const Tensor& a, int64_t axis);
+// Numerically stable softmax along the last axis. Every row is
+// simd::SoftmaxRow's under the 8-lane-blocked reduction contract of
+// simd_math.h, bitwise up to the sign bit of a NaN output in a row that
+// holds NaNs of both signs (the rows kernels' documented exception). Rows
+// are split across threads in whole four-row blocks, so the result, NaN
+// signs included, is the same for every thread count. Other axes: move
+// the axis last first (e.g. TransposeLast2).
+Tensor Softmax(const Tensor& a);
 
 // -- Comparisons for tests -------------------------------------------------------------
 

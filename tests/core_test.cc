@@ -1,6 +1,10 @@
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -10,6 +14,7 @@
 #include "core/feature_interaction.h"
 #include "core/time_interaction.h"
 #include "gtest/gtest.h"
+#include "health/ckpt_io.h"
 #include "optim/optimizer.h"
 #include "par/par.h"
 #include "synth/simulator.h"
@@ -517,7 +522,7 @@ ag::Variable ComposedFeatureInteraction(const ag::Variable& e,
   ag::Variable scores = ag::MatMul(u, ag::TransposeLast2(e3));
   scores = ag::Add(scores, ag::Reshape(b_alpha, {C, 1}));
   scores = ag::Add(scores, ag::Constant(diag_mask));
-  ag::Variable alpha = ag::Softmax(scores, /*axis=*/-1);
+  ag::Variable alpha = ag::Softmax(scores);
   *alpha_out = alpha.value().Reshape({batch, steps, C, C});
   ag::Variable weighted = ag::MatMul(alpha, e3);
   ag::Variable context = ag::Mul(e3, weighted);
@@ -593,10 +598,14 @@ TEST(FeatureInteractionTest, TileMatchesComposedChainBitwise) {
                       scale);
         const Tensor cotangent = Tensor::Normal(
             {grid[0], grid[1], dim.c * dim.d}, 0.0f, 1.0f, &data_rng);
+        // The oracle runs at SIMD off: the tile and ag::Softmax share one
+        // vector rows body, so the scalar reference is the independent
+        // check of it.
+        simd::ForceScalar(true);
+        const FeatureInteractionRun want = RunFeatureInteraction(
+            ComposedFeatureInteraction, e, w, b, p, cotangent);
         for (const bool scalar : {false, true}) {
           simd::ForceScalar(scalar);
-          const FeatureInteractionRun want = RunFeatureInteraction(
-              ComposedFeatureInteraction, e, w, b, p, cotangent);
           for (const int64_t threads : {1, 2, 4}) {
             SCOPED_TRACE(::testing::Message()
                          << "C=" << dim.c << " E=" << dim.e << " d=" << dim.d
@@ -1246,6 +1255,129 @@ TEST(EldaFrameworkTest, SaveLoadRestoresDeployment) {
   Elda::Interpretation ib = restored.Interpret(showcase);
   EXPECT_TRUE(AllClose(ia.feature_attention, ib.feature_attention));
   EXPECT_TRUE(AllClose(ia.time_attention, ib.time_attention));
+}
+
+// Byte offset of feature c's entry in a deployment payload: past the
+// header (u8 task, i64 num_steps, u8 clean_negative, u32 features) and the
+// entries before it (u32 name_len, name, f32 mean, f32 stddev).
+size_t FeatureEntryOffset(const std::string& payload, int64_t c) {
+  size_t at = 14;
+  for (int64_t i = 0; i < c; ++i) {
+    uint32_t length = 0;
+    std::memcpy(&length, payload.data() + at, sizeof(length));
+    at += sizeof(length) + length + 2 * sizeof(float);
+  }
+  return at;
+}
+
+TEST(EldaFrameworkTest, LoadRejectsCorruptDeployment) {
+  synth::CohortConfig cohort_config = synth::SynthPhysioNet2012();
+  cohort_config.num_admissions = 60;
+  EldaConfig config = TinyEldaConfig();
+  config.trainer.max_epochs = 1;
+  Elda trained(config);
+  trained.Fit(synth::GenerateCohort(cohort_config), data::Task::kMortality);
+  const std::string dir = testing::TempDir();
+  const std::string path = dir + "/elda_valid.eldaw";
+  std::string error;
+  ASSERT_TRUE(trained.Save(path, &error)) << error;
+  std::vector<health::Section> sections;
+  ASSERT_TRUE(health::ReadSectionedFile(path, &sections, &error)) << error;
+  const std::string payload =
+      health::FindSection(sections, "deployment")->payload;
+
+  // Each corruption of the deployment section, written with valid CRCs.
+  std::vector<std::pair<std::string, std::string>> cases;  // {what, path}
+  const auto add_case = [&](const std::string& what, std::string edited) {
+    std::vector<health::Section> copy = sections;
+    for (health::Section& section : copy) {
+      if (section.name == "deployment") section.payload = edited;
+    }
+    const std::string file = dir + "/elda_corrupt" +
+                             std::to_string(cases.size()) + ".eldaw";
+    ASSERT_TRUE(health::WriteSectionedFile(file, copy, &error)) << error;
+    cases.emplace_back(what, file);
+  };
+  const auto put = [](std::string* bytes, size_t at, auto value) {
+    std::memcpy(bytes->data() + at, &value, sizeof(value));
+  };
+  uint32_t name0 = 0;
+  std::memcpy(&name0, payload.data() + 14, sizeof(name0));
+  const size_t mean0 = 14 + sizeof(uint32_t) + name0;
+  {
+    std::string d = payload;
+    put(&d, mean0 + sizeof(float), 0.0f);
+    add_case("zero stddev", d);
+    put(&d, mean0 + sizeof(float), -1.0f);
+    add_case("negative stddev", d);
+  }
+  {
+    std::string d = payload;
+    put(&d, mean0, std::numeric_limits<float>::quiet_NaN());
+    add_case("NaN mean", d);
+  }
+  {
+    std::string d = payload;
+    put(&d, 10, uint32_t{0xFFFFFFFFu});
+    add_case("huge feature count", d);
+  }
+  {
+    // Consistently framed, but fewer features than the network takes.
+    std::string d = payload.substr(0, FeatureEntryOffset(payload, 3));
+    put(&d, 10, uint32_t{3});
+    add_case("three features", d);
+  }
+  {
+    std::string d = payload;
+    d[0] = 7;
+    add_case("unknown task", d);
+  }
+  {
+    std::string d = payload;
+    put(&d, 14, uint32_t{1u << 30});
+    add_case("oversized name", d);
+  }
+  add_case("trailing byte", payload + "x");
+  // The file itself cut short, and a flipped payload byte (bad CRC).
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const auto add_file = [&](const std::string& what,
+                            const std::string& content) {
+    const std::string file = dir + "/elda_corrupt" +
+                             std::to_string(cases.size()) + ".eldaw";
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << content;
+    cases.emplace_back(what, file);
+  };
+  add_file("truncated file", bytes.substr(0, bytes.size() / 2));
+  std::string flipped = bytes;
+  flipped[flipped.size() - 10] ^= 0x5A;  // inside the deployment payload
+  add_file("bad CRC", flipped);
+
+  for (const auto& [what, file] : cases) {
+    SCOPED_TRACE(what);
+    Elda fresh(config);
+    error.clear();
+    EXPECT_FALSE(fresh.Load(file, &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(fresh.fitted());
+  }
+  // A failed Load leaves a fitted framework as it was.
+  synth::CohortConfig new_config = cohort_config;
+  new_config.num_admissions = 4;
+  new_config.seed = 909;
+  const data::EmrDataset incoming = synth::GenerateCohort(new_config);
+  const std::vector<data::EmrSample> patients(incoming.samples().begin(),
+                                              incoming.samples().end());
+  const std::vector<float> before = trained.PredictRisk(patients);
+  EXPECT_FALSE(trained.Load(cases.front().second, &error));
+  EXPECT_EQ(trained.PredictRisk(patients), before);
+  Elda restored(config);
+  ASSERT_TRUE(restored.Load(path, &error)) << error;
+  EXPECT_EQ(restored.PredictRisk(patients), before);
 }
 
 TEST(EldaFrameworkTest, SaveBeforeFitFails) {

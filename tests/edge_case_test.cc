@@ -19,7 +19,7 @@ TEST(EdgeTest, SingleElementTensorsFlowThroughOps) {
   Tensor a = Tensor::FromData({1, 1}, {3.0f});
   Tensor b = Tensor::FromData({1, 1}, {4.0f});
   EXPECT_FLOAT_EQ(MatMul(a, b)[0], 12.0f);
-  EXPECT_FLOAT_EQ(Softmax(a, 1)[0], 1.0f);
+  EXPECT_FLOAT_EQ(Softmax(a)[0], 1.0f);
   EXPECT_FLOAT_EQ(Sum(a, 0)[0], 3.0f);
 }
 
@@ -29,7 +29,7 @@ TEST(EdgeTest, LengthOneAxisReductions) {
   EXPECT_EQ(s.shape(), (std::vector<int64_t>{3}));
   Tensor m = Max(a, 1, true);
   EXPECT_EQ(m.shape(), (std::vector<int64_t>{3, 1}));
-  Tensor soft = Softmax(a, 1);  // softmax over a single entry is 1
+  Tensor soft = Softmax(a);  // softmax over a single entry is 1
   for (int64_t i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(soft[i], 1.0f);
 }
 
@@ -61,7 +61,6 @@ TEST(EdgeDeathTest, ConcatMismatchedShapesAborts) {
 TEST(EdgeDeathTest, AxisOutOfRangeAborts) {
   Tensor a({2, 3});
   EXPECT_DEATH(Sum(a, 2), "axis");
-  EXPECT_DEATH(Softmax(a, -3), "axis");
 }
 
 TEST(EdgeDeathTest, MaxAllOfEmptyAborts) {
@@ -73,7 +72,7 @@ TEST(EdgeDeathTest, MaxAllOfEmptyAborts) {
 
 TEST(EdgeTest, SoftmaxWithAllMaskedButOneEntry) {
   Tensor logits = Tensor::FromData({1, 4}, {-1e9f, -1e9f, 5.0f, -1e9f});
-  Tensor s = Softmax(logits, 1);
+  Tensor s = Softmax(logits);
   EXPECT_NEAR(s[2], 1.0f, 1e-6f);
   EXPECT_NEAR(s[0] + s[1] + s[3], 0.0f, 1e-6f);
 }

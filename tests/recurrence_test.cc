@@ -22,6 +22,7 @@
 #include "nn/recurrent_sweep.h"
 #include "nn/serialize.h"
 #include "par/par.h"
+#include "tensor/simd_math.h"
 #include "tensor/tensor_ops.h"
 #include "train/trainer.h"
 
@@ -126,10 +127,26 @@ struct Shape3 {
   int64_t batch, steps, input, hidden;
 };
 
-// The last shape is the B=64, H=64 recurrence of the perf workloads, whose
-// products cross the MatMul kernels' dispatch boundary.
-const Shape3 kShapes[] = {{1, 1, 1, 1},   {2, 6, 3, 4}, {3, 7, 5, 5},
-                          {8, 12, 2, 6}, {64, 3, 37, 64}};
+// H = 9 and H = 17 run the gate kernels' 8-lane body and their scalar tail
+// in one row. The last shape is the B=64, H=64 recurrence of the perf
+// workloads, whose products cross the MatMul kernels' dispatch boundary.
+const Shape3 kShapes[] = {{1, 1, 1, 1},   {2, 6, 3, 4},  {3, 7, 5, 5},
+                          {8, 12, 2, 6}, {3, 5, 4, 9},  {5, 4, 3, 17},
+                          {64, 3, 37, 64}};
+
+// The taped sweep's step states against the graph-free sweep's, byte for
+// byte: the gate kernels' capturing and non-capturing paths.
+void ExpectTapedStepsMatchGraphFree(const nn::SweepResult& taped,
+                                    const nn::SweepResult& graph_free) {
+  ASSERT_EQ(taped.steps.size(), graph_free.steps.size());
+  for (size_t t = 0; t < taped.steps.size(); ++t) {
+    const Tensor& a = taped.steps[t].value();
+    const Tensor& b = graph_free.steps[t].value();
+    ASSERT_EQ(a.shape(), b.shape());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "step " << t;
+  }
+}
 
 // -- Bitwise sweep-vs-reference equivalence ----------------------------------
 
@@ -273,9 +290,10 @@ TEST(RecurrenceTest, GruSweepBitwiseMatchesPerStepReference) {
       {
         ag::NoGradScope no_grad;
         const int64_t before = ag::TapeNodesAllocated();
-        ExpectBitwiseEqual(nn::GruSweep(cell, x).Stacked().value(),
-                           reference);
+        const nn::SweepResult graph_free = nn::GruSweep(cell, x);
+        ExpectBitwiseEqual(graph_free.Stacked().value(), reference);
         EXPECT_EQ(ag::TapeNodesAllocated(), before);
+        ExpectTapedStepsMatchGraphFree(sweep, graph_free);
       }
     }
     ExpectSweepBackwardMatchesPerStep(
@@ -299,13 +317,15 @@ TEST(RecurrenceTest, LstmSweepBitwiseMatchesPerStepReference) {
     for (int64_t threads : {1, 2, 8}) {
       SCOPED_TRACE(::testing::Message() << "threads=" << threads);
       par::ScopedNumThreads scoped(threads);
-      ExpectBitwiseEqual(nn::LstmSweep(cell, x).Stacked().value(), reference);
+      const nn::SweepResult taped = nn::LstmSweep(cell, x);
+      ExpectBitwiseEqual(taped.Stacked().value(), reference);
       {
         ag::NoGradScope no_grad;
         const int64_t before = ag::TapeNodesAllocated();
-        ExpectBitwiseEqual(nn::LstmSweep(cell, x).Stacked().value(),
-                           reference);
+        const nn::SweepResult graph_free = nn::LstmSweep(cell, x);
+        ExpectBitwiseEqual(graph_free.Stacked().value(), reference);
         EXPECT_EQ(ag::TapeNodesAllocated(), before);
+        ExpectTapedStepsMatchGraphFree(taped, graph_free);
       }
     }
     ExpectSweepBackwardMatchesPerStep(
@@ -314,6 +334,76 @@ TEST(RecurrenceTest, LstmSweepBitwiseMatchesPerStepReference) {
            const nn::SweepOptions& o) { return nn::LstmSweep(c, xs, o); },
         /*packed_state=*/true, 23);
   }
+}
+
+// The gate kernels' captured activations (what the step backward reads)
+// and their next state against the composed ops they fuse, byte for byte,
+// with and without capture, under each dispatch. H = 9, 17 and 64 run the
+// 8-lane body and, but for 64, a scalar tail in one row.
+TEST(RecurrenceTest, GateCapturesMatchComposedActivations) {
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  for (const int64_t hs : {1, 8, 9, 17, 64}) {
+    for (const bool scalar : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "H=" << hs << (scalar ? " scalar" : " simd"));
+      simd::ForceScalar(scalar);
+      Rng rng(static_cast<uint64_t>(50 + hs));
+      const int64_t batch = 3;
+      const Tensor h = Tensor::Normal({batch, hs}, 0.0f, 1.0f, &rng);
+      const Tensor ones = Tensor::Ones({batch, hs});
+      const auto gate = [hs](const Tensor& t, int64_t q) {
+        return Slice(t, 1, q * hs, hs);
+      };
+      {
+        const Tensor xw = Tensor::Normal({batch, 3 * hs}, 0.0f, 2.0f, &rng);
+        const Tensor hu = Tensor::Normal({batch, 3 * hs}, 0.0f, 2.0f, &rng);
+        Tensor r, z, n;
+        const Tensor h_new = GruGates(xw, hu, h, &r, &z, &n);
+        const Tensor want_r = Sigmoid(Add(gate(xw, 0), gate(hu, 0)));
+        const Tensor want_z = Sigmoid(Add(gate(xw, 1), gate(hu, 1)));
+        const Tensor want_n = Tanh(Add(gate(xw, 2), Mul(want_r, gate(hu, 2))));
+        EXPECT_TRUE(same(r, want_r)) << "r";
+        EXPECT_TRUE(same(z, want_z)) << "z";
+        EXPECT_TRUE(same(n, want_n)) << "n";
+        const Tensor want_h =
+            Add(Mul(Sub(ones, want_z), want_n), Mul(want_z, h));
+        EXPECT_TRUE(same(h_new, want_h)) << "GRU h";
+        EXPECT_TRUE(same(GruGates(xw, hu, h, nullptr, nullptr, nullptr),
+                         want_h))
+            << "GRU h without capture";
+      }
+      {
+        const Tensor xw = Tensor::Normal({batch, 4 * hs}, 0.0f, 2.0f, &rng);
+        const Tensor hu = Tensor::Normal({batch, 4 * hs}, 0.0f, 2.0f, &rng);
+        const Tensor bias = Tensor::Normal({4 * hs}, 0.0f, 1.0f, &rng);
+        Tensor i, f, g, o, tc;
+        const Tensor packed = LstmGates(xw, hu, bias, h, &i, &f, &g, &o, &tc);
+        const Tensor pre = Add(Add(xw, hu), bias);
+        const Tensor want_i = Sigmoid(gate(pre, 0));
+        const Tensor want_f = Sigmoid(gate(pre, 1));
+        const Tensor want_g = Tanh(gate(pre, 2));
+        const Tensor want_o = Sigmoid(gate(pre, 3));
+        const Tensor want_c = Add(Mul(want_f, h), Mul(want_i, want_g));
+        const Tensor want_tc = Tanh(want_c);
+        EXPECT_TRUE(same(i, want_i)) << "i";
+        EXPECT_TRUE(same(f, want_f)) << "f";
+        EXPECT_TRUE(same(g, want_g)) << "g";
+        EXPECT_TRUE(same(o, want_o)) << "o";
+        EXPECT_TRUE(same(tc, want_tc)) << "tanh(c)";
+        const Tensor want_packed =
+            StackRows({Mul(want_o, want_tc), want_c});
+        EXPECT_TRUE(same(packed, want_packed)) << "LSTM h, c";
+        EXPECT_TRUE(same(LstmGates(xw, hu, bias, h, nullptr, nullptr, nullptr,
+                                   nullptr, nullptr),
+                         want_packed))
+            << "LSTM h, c without capture";
+      }
+    }
+  }
+  simd::ForceScalar(false);
 }
 
 TEST(RecurrenceTest, ReversedSweepMatchesReverseTimeComposition) {

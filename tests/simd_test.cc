@@ -329,7 +329,7 @@ std::vector<float> SpecialRows(int64_t rows, int64_t n, int64_t ld,
 }
 
 // Bitwise equality, except that two NaNs may differ in their sign bit (the
-// documented exception of simd::BiasedSoftmaxRows / SoftmaxGradRows).
+// documented exception of simd_math.h's softmax rows kernels).
 ::testing::AssertionResult SameBitsUpToNanSign(const std::vector<float>& got,
                                                const std::vector<float>& want) {
   for (size_t i = 0; i < got.size(); ++i) {
@@ -348,50 +348,53 @@ std::vector<float> SpecialRows(int64_t rows, int64_t n, int64_t ld,
   return ::testing::AssertionSuccess();
 }
 
+// The rows kernels and the ops over them against SoftmaxRow /
+// SoftmaxGradRow, the scalar reference, row by row: bitwise up to a NaN's
+// sign bit, under each dispatch (with SIMD on the kernels run their
+// four-row blocks and one left-over block; with it off the reference
+// itself).
 TEST(SimdBitwiseTest, SoftmaxRowMatchesScalarReference) {
+  const auto to_vector = [](const Tensor& t) {
+    return std::vector<float>(t.data(), t.data() + t.size());
+  };
   for (int64_t n = 1; n <= 49; ++n) {
     std::vector<float> x = VariedInputs(n, 13 * n);
-    // Softmax rows must be NaN/inf free to stay meaningful; replace specials
-    // with finite values but keep +/-0, denormals, and large magnitudes.
+    // Keep this row finite so its sum is meaningful; keep +/-0, denormals
+    // and large magnitudes.
     for (float& v : x) {
       if (std::isnan(v)) v = 0.25f;
       if (std::isinf(v)) v = v > 0 ? 30.0f : -30.0f;
       if (std::fabs(v) > 1e4f) v = v > 0 ? 80.0f : -80.0f;
     }
-    std::vector<float> y_vec(n), y_ref(n), g = VariedInputs(n, 19 * n + 3);
+    // The reference sums to ~1, and in place matches out of place.
+    std::vector<float> y(n);
+    simd::SoftmaxRow(x.data(), y.data(), n);
+    float sum = 0.0f;
+    for (int64_t i = 0; i < n; ++i) sum += y[i];
+    EXPECT_NEAR(sum, 1.0f, 1e-5f);
+    std::vector<float> inplace = x;
+    simd::SoftmaxRow(inplace.data(), inplace.data(), n);
+    ASSERT_EQ(std::memcmp(inplace.data(), y.data(), n * sizeof(float)), 0);
+    // On this finite row (denormals and +/-0 included) the rows kernels are
+    // bitwise the reference.
+    std::vector<float> g = VariedInputs(n, 19 * n + 3);
     for (float& v : g) {
       if (!std::isfinite(v)) v = 0.5f;
       if (std::fabs(v) > 1e4f) v = 2.0f;
     }
-    std::vector<float> dx_vec(n), dx_ref(n);
-    {
-      ScopedForceScalar scalar(false);
-      simd::SoftmaxRow(x.data(), y_vec.data(), n);
-      simd::SoftmaxGradRow(g.data(), y_vec.data(), dx_vec.data(), n);
-    }
-    {
-      ScopedForceScalar scalar(true);
-      simd::SoftmaxRow(x.data(), y_ref.data(), n);
-      simd::SoftmaxGradRow(g.data(), y_ref.data(), dx_ref.data(), n);
-    }
-    ASSERT_EQ(std::memcmp(y_vec.data(), y_ref.data(), n * sizeof(float)), 0)
-        << "SoftmaxRow n=" << n;
-    ASSERT_EQ(std::memcmp(dx_vec.data(), dx_ref.data(), n * sizeof(float)), 0)
-        << "SoftmaxGradRow n=" << n;
-    // Rows sum to ~1 and in-place operation matches out-of-place.
-    float sum = 0.0f;
-    for (int64_t i = 0; i < n; ++i) sum += y_vec[i];
-    EXPECT_NEAR(sum, 1.0f, 1e-5f);
-    std::vector<float> inplace = x;
-    simd::SoftmaxRow(inplace.data(), inplace.data(), n);
-    ASSERT_EQ(std::memcmp(inplace.data(), y_vec.data(), n * sizeof(float)), 0);
+    std::vector<float> y_rows(n), dx(n), dx_rows(n);
+    simd::SoftmaxRows(x.data(), y_rows.data(), 1, n);
+    ASSERT_EQ(std::memcmp(y_rows.data(), y.data(), n * sizeof(float)), 0)
+        << "SoftmaxRows n=" << n;
+    simd::SoftmaxGradRow(g.data(), y.data(), dx.data(), n);
+    simd::SoftmaxGradRows(g.data(), y.data(), n, dx_rows.data(), n, 1, n);
+    ASSERT_EQ(std::memcmp(dx_rows.data(), dx.data(), n * sizeof(float)), 0)
+        << "SoftmaxGradRows n=" << n;
 
-    // Rows at once == row by row: BiasedSoftmaxRows against the scalar
-    // adds then SoftmaxRow per row, SoftmaxGradRows against SoftmaxGradRow,
-    // under each dispatch (with SIMD on, rows 0-7 run the four-row bodies
-    // and row 8 the per-row one). Nine rows at strides past n, with the
-    // masked column on the first row's diagonal, two columns left of it,
-    // and outside every row.
+    // BiasedSoftmaxRows against the scalar adds then SoftmaxRow per row,
+    // SoftmaxGradRows against SoftmaxGradRow. Nine rows at strides past n,
+    // with the masked column on the first row's diagonal, two columns left
+    // of it, and outside every row.
     constexpr int64_t kRows = 9;
     const int64_t ld = n + 3, ldx = n + 1;
     const float bias[kRows] = {0.5f, -0.0f, 0.0f, 3.0f, -2.25f,
@@ -427,6 +430,39 @@ TEST(SimdBitwiseTest, SoftmaxRowMatchesScalarReference) {
       ASSERT_TRUE(SameBitsUpToNanSign(got, want))
           << "SoftmaxGradRows n=" << n << (scalar ? " scalar" : " simd");
     }
+
+    // The Softmax op and SoftmaxLastAxisGrad: rows 1..9 cover every
+    // left-over block after whole four-row blocks, and 3001 rows split
+    // into several chunks across threads; at 1, 2 and 4 threads.
+    std::vector<int64_t> row_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+    if (n == 19 || n == 37) row_counts.push_back(3001);
+    for (const int64_t rows : row_counts) {
+      const std::vector<float> xin = SpecialRows(rows, n, n, 17 * n + rows);
+      const std::vector<float> gin = SpecialRows(rows, n, n, 19 * n + rows);
+      const std::vector<float> yin = SpecialRows(rows, n, n, 23 * n + rows);
+      std::vector<float> want_y(rows * n), want_dx(rows * n);
+      for (int64_t r = 0; r < rows; ++r) {
+        simd::SoftmaxRow(xin.data() + r * n, want_y.data() + r * n, n);
+        simd::SoftmaxGradRow(gin.data() + r * n, yin.data() + r * n,
+                             want_dx.data() + r * n, n);
+      }
+      const Tensor xt = Tensor::FromData({rows, n}, xin);
+      const Tensor gt = Tensor::FromData({rows, n}, gin);
+      const Tensor yt = Tensor::FromData({rows, n}, yin);
+      for (const bool scalar : {false, true}) {
+        ScopedForceScalar force(scalar);
+        for (const int64_t threads : {1, 2, 4}) {
+          par::ScopedNumThreads scoped(threads);
+          ASSERT_TRUE(SameBitsUpToNanSign(to_vector(Softmax(xt)), want_y))
+              << "Softmax rows=" << rows << " n=" << n << " threads="
+              << threads << (scalar ? " scalar" : " simd");
+          ASSERT_TRUE(SameBitsUpToNanSign(
+              to_vector(SoftmaxLastAxisGrad(gt, yt)), want_dx))
+              << "SoftmaxLastAxisGrad rows=" << rows << " n=" << n
+              << " threads=" << threads << (scalar ? " scalar" : " simd");
+        }
+      }
+    }
   }
 }
 
@@ -457,8 +493,8 @@ TEST(SimdBitwiseTest, TensorOpsStableAcrossThreadCountsAndDispatch) {
       [&] { return AddSigmoid(a, b); },
       [&] { return AddTanh(a, b); },
       [&] { return ExpNegRelu(a); },
-      [&] { return Softmax(a, 1); },
-      [&] { return SoftmaxLastAxisGrad(b, Softmax(a, 1)); },
+      [&] { return Softmax(a); },
+      [&] { return SoftmaxLastAxisGrad(b, Softmax(a)); },
   };
   for (size_t i = 0; i < ops.size(); ++i) {
     Tensor base;
@@ -546,7 +582,7 @@ TEST(SimdFusionTest, FusedOpsGradCheckAcrossThreadCounts) {
     ExpectGradCheck([&] { return ag::SumAll(ag::Square(ag::ExpNegRelu(a))); },
                     {a});
     ExpectGradCheck(
-        [&] { return ag::SumAll(ag::Square(ag::Softmax(a, /*axis=*/1))); },
+        [&] { return ag::SumAll(ag::Square(ag::Softmax(a))); },
         {a});
   }
 }
@@ -596,7 +632,7 @@ TEST(SimdFusionTest, FusedChainsCostOneTapeNode) {
   EXPECT_EQ(ag::TapeNodesAllocated() - before, 1);
 
   before = ag::TapeNodesAllocated();
-  ag::Variable sm = ag::Softmax(a, /*axis=*/1);
+  ag::Variable sm = ag::Softmax(a);
   EXPECT_EQ(ag::TapeNodesAllocated() - before, 1);
 
   // The composed chains they replace cost 2, 2, 3 nodes respectively.

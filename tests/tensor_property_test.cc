@@ -111,21 +111,14 @@ TEST_P(ReductionPropertyTest, MaxIsAnUpperBoundAttained) {
 
 TEST_P(ReductionPropertyTest, SoftmaxInvariantToConstantShift) {
   Tensor a = RandomTensor(GetParam(), 15);
-  for (int64_t axis = 0; axis < a.dim(); ++axis) {
-    Tensor s1 = Softmax(a, axis);
-    Tensor s2 = Softmax(AddScalar(a, 7.5f), axis);
-    EXPECT_TRUE(AllClose(s1, s2, 1e-5f, 1e-4f)) << "axis " << axis;
-  }
+  EXPECT_TRUE(AllClose(Softmax(a), Softmax(AddScalar(a, 7.5f)), 1e-5f, 1e-4f));
 }
 
-TEST_P(ReductionPropertyTest, SoftmaxSumsToOneAlongEveryAxis) {
+TEST_P(ReductionPropertyTest, SoftmaxSumsToOneAlongLastAxis) {
   Tensor a = RandomTensor(GetParam(), 16);
-  for (int64_t axis = 0; axis < a.dim(); ++axis) {
-    Tensor s = Softmax(a, axis);
-    Tensor sums = Sum(s, axis);
-    for (int64_t i = 0; i < sums.size(); ++i) {
-      EXPECT_NEAR(sums[i], 1.0f, 1e-4f);
-    }
+  Tensor sums = Sum(Softmax(a), -1);
+  for (int64_t i = 0; i < sums.size(); ++i) {
+    EXPECT_NEAR(sums[i], 1.0f, 1e-4f);
   }
 }
 
